@@ -68,7 +68,6 @@ from .stability import (
     blocking_pairs,
     dominates,
     is_stable,
-    lex_compare,
     lex_key,
 )
 
@@ -99,7 +98,6 @@ __all__ = [
     "has_ties",
     "highest_link",
     "is_stable",
-    "lex_compare",
     "lex_key",
     "lex_male_alpha_gs",
     "lex_optimum",

@@ -19,6 +19,7 @@ from .instances import (
     Marriage,
     QuantInstance,
     derive_classical,
+    make_marriage,
     man_name,
     parse_instance,
     random_instance,
@@ -112,12 +113,14 @@ def _load_instance(path: str) -> QuantInstance:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _Fail(INVALID_INSTANCE, f"cannot read instance file: {exc}")
     try:
         return parse_instance(text)
     except (InvalidInstanceError, json.JSONDecodeError) as exc:
         raise _Fail(INVALID_INSTANCE, f"invalid instance: {exc}")
+    except RecursionError:
+        raise _Fail(INVALID_INSTANCE, "invalid instance: JSON nested too deeply")
 
 
 def _require_alpha(args, needed: bool, flag_context: str) -> int | None:
@@ -137,9 +140,12 @@ def _parse_marriage(text: str, n: int) -> Marriage:
         values = [int(part) for part in text.split(",")]
     except ValueError:
         raise _Fail(BAD_MARRIAGE, f"--marriage {text!r} is not a comma-separated int list")
-    if len(values) != n or sorted(values) != list(range(n)):
-        raise _Fail(BAD_MARRIAGE, f"--marriage {text!r} is not a permutation of 0..{n - 1}")
-    return Marriage(tuple(values))
+    if len(values) == n:
+        try:
+            return make_marriage(values)
+        except ValueError:
+            pass
+    raise _Fail(BAD_MARRIAGE, f"--marriage {text!r} is not a permutation of 0..{n - 1}")
 
 
 def _print_pairing(marriage: Marriage) -> None:
@@ -221,12 +227,12 @@ def _cmd_transform(args) -> int:
         if args.alpha < 1:
             raise _Fail(USAGE, "--alpha must be >= 1")
         semiorder = alpha_transform(instance, args.alpha)
-        for side, name in (("men", man_name), ("women", woman_name)):
-            other = woman_name if side == "men" else man_name
-            scores = instance.men_scores if side == "men" else instance.women_scores
-            for person in range(instance.n):
-                ranked = sorted(range(instance.n), key=scores[person].__getitem__,
-                                reverse=True)
+        classical = derive_classical(instance)
+        for side, name, other, lists in (
+            ("men", man_name, woman_name, classical.men_prefs),
+            ("women", woman_name, man_name, classical.women_prefs),
+        ):
+            for person, ranked in enumerate(lists):
                 parts = [other(ranked[0])]
                 for prev, nxt in zip(ranked, ranked[1:]):
                     sep = ">" if semiorder.strictly_prefers(side, person, prev, nxt) else "⋈"

@@ -8,7 +8,6 @@ through :func:`gs`.
 from __future__ import annotations
 
 import heapq
-import random
 from dataclasses import dataclass
 
 from .instances import Marriage, StrictProfile
@@ -50,10 +49,7 @@ def gs(profile: StrictProfile, proposing_side: str = "men") -> Marriage:
         return Marriage(tuple(matching))
     if proposing_side == "women":
         matching = _deferred_acceptance(profile.women_prefs, profile.men_prefs)
-        partner = [0] * len(matching)
-        for w, m in enumerate(matching):
-            partner[m] = w
-        return Marriage(tuple(partner))
+        return Marriage(Marriage(tuple(matching)).inverse())
     raise ValueError(f"proposing_side must be 'men' or 'women', got {proposing_side!r}")
 
 
@@ -77,12 +73,10 @@ def _deferred_acceptance(
     proposer_prefs,
     receiver_prefs,
     trace: list[Proposal] | None = None,
-    rng: random.Random | None = None,
 ) -> list[int]:
     """Core loop; returns matching[p] = receiver engaged to proposer p.
 
-    rng, when given, picks free proposers in random order instead of
-    ascending index; the returned matching must be identical either way.
+    Free proposers wait in a heap, so the lowest index proposes next.
     """
     n = len(proposer_prefs)
     # rank[r][p] = position of proposer p in receiver r's list (0 = best)
@@ -93,15 +87,10 @@ def _deferred_acceptance(
 
     next_choice = [0] * n
     fiance: list[int | None] = [None] * n
-    free = list(range(n))
-    if rng is None:
-        heapq.heapify(free)
+    free = list(range(n))  # ascending, hence already a heap
 
     while free:
-        if rng is None:
-            p = heapq.heappop(free)
-        else:
-            p = free.pop(rng.randrange(len(free)))
+        p = heapq.heappop(free)
         r = proposer_prefs[p][next_choice[p]]
         next_choice[p] += 1
         current = fiance[r]
@@ -111,17 +100,11 @@ def _deferred_acceptance(
                 trace.append(Proposal(p, r, "engaged"))
         elif rank[r][p] < rank[r][current]:
             fiance[r] = p
-            if rng is None:
-                heapq.heappush(free, current)
-            else:
-                free.append(current)
+            heapq.heappush(free, current)
             if trace is not None:
                 trace.append(Proposal(p, r, "displaced", current))
         else:
-            if rng is None:
-                heapq.heappush(free, p)
-            else:
-                free.append(p)
+            heapq.heappush(free, p)
             if trace is not None:
                 trace.append(Proposal(p, r, "rejected"))
 

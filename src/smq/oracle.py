@@ -10,8 +10,8 @@ weak-stability dual filters used to cross-check set equalities.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .alpha import SemiorderProfile, TotalOrder
 from .instances import Marriage, QuantInstance, WeakProfile
@@ -100,6 +100,9 @@ def enumerate_stable(
     """
     _check_bound(instance.n, size_bound)
     if jobs > 1 and instance.n > 1:
+        # Imported here: it costs a sizeable share of `import smq`.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, instance.n)) as pool:
             blocks = pool.map(
                 _scan_block,
@@ -153,9 +156,10 @@ def highest_link(
     size_bound: int = DEFAULT_SIZE_BOUND,
 ) -> list[Marriage]:
     """Link-stable marriages attaining the maximal aggregate strength."""
-    stable = enumerate_stable(instance, f"link-{mode}", size_bound=size_bound)
-    best = max(marriage_link(instance, m, mode) for m in stable.marriages())
-    return [m for m in stable.marriages() if marriage_link(instance, m, mode) == best]
+    entries = enumerate_stable(instance, f"link-{mode}", size_bound=size_bound).entries
+    strength = attrgetter(f"link_{mode}")
+    best = max(map(strength, entries))
+    return [e.marriage for e in entries if strength(e) == best]
 
 
 def feasible_partners(

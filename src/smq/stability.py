@@ -1,13 +1,17 @@
 """Blocking-pair detection for every stability notion, plus dominance and
 the lexicographic marriage order used by the popularity-guided solver.
 
-A single scan with a swappable pair predicate covers all four notions, so
-set-level relationships between notions can be tested by swapping
-predicates rather than by separate checkers.
+One private scan, :func:`_blocks`, finds the blocking pairs of all four
+notions: classical stability is the score-gap test at gap 1, and the two
+link notions differ only in how a pair's strength is combined.
+:func:`is_stable` stops that scan at the first blocking pair;
+:func:`blocking_pairs` runs it to the end and adds a witness to each pair
+it reports.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .instances import Marriage, QuantInstance
@@ -55,6 +59,106 @@ def _check_notion(notion: str, alpha: int | None) -> None:
         raise ValueError(f"alpha does not apply to notion {notion!r}")
 
 
+def _blocks(
+    instance: QuantInstance,
+    marriage: Marriage,
+    notion: str,
+    alpha: int | None,
+    first_only: bool,
+) -> list[tuple[int, int]]:
+    """The blocking (man, woman) pairs in ascending order, or only the first.
+
+    Under every notion a pair blocks when its value for the man beats a
+    bound fixed by his current pairing and its value for the woman beats a
+    bound fixed by hers, so each bound is computed once per person. Partners
+    share one pair strength, so under the link notions both bounds come
+    from the same list of current strengths, indexed by woman.
+    """
+    men = instance.men_scores
+    women = instance.women_scores
+    match = marriage.partner_of_man
+    n = instance.n
+    found: list[tuple[int, int]] = []
+
+    if notion == "classical" or notion == "alpha":
+        # Scores are integers, so "strictly prefers" is a gain of at least 1.
+        gap = 1 if notion == "classical" else alpha
+        woman_needs = [0] * n
+        for m, w in enumerate(match):
+            woman_needs[w] = women[w][m] + gap
+        for m in range(n):
+            row = men[m]
+            man_needs = row[match[m]] + gap
+            for w in range(n):
+                if row[w] >= man_needs and women[w][m] >= woman_needs[w]:
+                    if first_only:
+                        return [(m, w)]
+                    found.append((m, w))
+        return found
+
+    current = [0] * n
+    if notion == "link-add":
+        for m, w in enumerate(match):
+            current[w] = men[m][w] + women[w][m]
+        for m in range(n):
+            row = men[m]
+            mine = current[match[m]]
+            for w in range(n):
+                new = row[w] + women[w][m]
+                if new > mine and new > current[w]:
+                    if first_only:
+                        return [(m, w)]
+                    found.append((m, w))
+        return found
+
+    for m, w in enumerate(match):
+        a, b = men[m][w], women[w][m]
+        current[w] = a if a > b else b
+    for m in range(n):
+        row = men[m]
+        mine = current[match[m]]
+        for w in range(n):
+            a, b = row[w], women[w][m]
+            # max(a, b) > bound  <=>  a > bound or b > bound
+            if (a > mine or b > mine) and (a > current[w] or b > current[w]):
+                if first_only:
+                    return [(m, w)]
+                found.append((m, w))
+    return found
+
+
+def _witness(
+    instance: QuantInstance,
+    match: tuple[int, ...],
+    inverse: tuple[int, ...],
+    notion: str,
+    m: int,
+    w: int,
+) -> dict[str, int]:
+    """The numbers that certify one blocking pair."""
+    men = instance.men_scores
+    women = instance.women_scores
+    w_cur = match[m]
+    m_cur = inverse[w]
+    if notion == "classical" or notion == "alpha":
+        witness = {
+            "man_score_new": men[m][w],
+            "man_score_current": men[m][w_cur],
+            "woman_score_new": women[w][m],
+            "woman_score_current": women[w][m_cur],
+        }
+        if notion == "alpha":
+            witness["man_gain"] = men[m][w] - men[m][w_cur]
+            witness["woman_gain"] = women[w][m] - women[w][m_cur]
+        return witness
+    link = operator.add if notion == "link-add" else max
+    return {
+        "link_new": link(men[m][w], women[w][m]),
+        "link_man_current": link(men[m][w_cur], women[w_cur][m]),
+        "link_woman_current": link(men[m_cur][w], women[w][m_cur]),
+    }
+
+
 def blocking_pairs(
     instance: QuantInstance,
     marriage: Marriage,
@@ -72,54 +176,12 @@ def blocking_pairs(
     reported in ascending (man, woman) order.
     """
     _check_notion(notion, alpha)
-    men = instance.men_scores
-    women = instance.women_scores
     match = marriage.partner_of_man
     inverse = marriage.inverse()
-    found: list[BlockingPair] = []
-
-    for m in range(instance.n):
-        w_cur = match[m]
-        for w in range(instance.n):
-            if w == w_cur:
-                continue
-            m_cur = inverse[w]
-            if notion == "classical":
-                if men[m][w] > men[m][w_cur] and women[w][m] > women[w][m_cur]:
-                    found.append(BlockingPair(m, w, {
-                        "man_score_new": men[m][w],
-                        "man_score_current": men[m][w_cur],
-                        "woman_score_new": women[w][m],
-                        "woman_score_current": women[w][m_cur],
-                    }))
-            elif notion == "alpha":
-                man_gain = men[m][w] - men[m][w_cur]
-                woman_gain = women[w][m] - women[w][m_cur]
-                if man_gain >= alpha and woman_gain >= alpha:
-                    found.append(BlockingPair(m, w, {
-                        "man_score_new": men[m][w],
-                        "man_score_current": men[m][w_cur],
-                        "woman_score_new": women[w][m],
-                        "woman_score_current": women[w][m_cur],
-                        "man_gain": man_gain,
-                        "woman_gain": woman_gain,
-                    }))
-            else:
-                if notion == "link-add":
-                    new = men[m][w] + women[w][m]
-                    man_cur = men[m][w_cur] + women[w_cur][m]
-                    woman_cur = men[m_cur][w] + women[w][m_cur]
-                else:
-                    new = max(men[m][w], women[w][m])
-                    man_cur = max(men[m][w_cur], women[w_cur][m])
-                    woman_cur = max(men[m_cur][w], women[w][m_cur])
-                if new > man_cur and new > woman_cur:
-                    found.append(BlockingPair(m, w, {
-                        "link_new": new,
-                        "link_man_current": man_cur,
-                        "link_woman_current": woman_cur,
-                    }))
-    return BlockingReport(notion, alpha, tuple(found))
+    return BlockingReport(notion, alpha, tuple(
+        BlockingPair(m, w, _witness(instance, match, inverse, notion, m, w))
+        for m, w in _blocks(instance, marriage, notion, alpha, False)
+    ))
 
 
 def is_stable(
@@ -128,53 +190,9 @@ def is_stable(
     notion: str,
     alpha: int | None = None,
 ) -> bool:
-    """Early-exit stability check; same predicates as :func:`blocking_pairs`."""
+    """Early-exit stability check; the same scan as :func:`blocking_pairs`."""
     _check_notion(notion, alpha)
-    men = instance.men_scores
-    women = instance.women_scores
-    match = marriage.partner_of_man
-    inverse = marriage.inverse()
-    n = instance.n
-
-    if notion == "classical":
-        for m in range(n):
-            row = men[m]
-            cur = row[match[m]]
-            for w in range(n):
-                if row[w] > cur and women[w][m] > women[w][inverse[w]]:
-                    return False
-        return True
-    if notion == "alpha":
-        for m in range(n):
-            row = men[m]
-            cur = row[match[m]] + alpha
-            for w in range(n):
-                if row[w] >= cur and women[w][m] - women[w][inverse[w]] >= alpha:
-                    return False
-        return True
-    if notion == "link-add":
-        for m in range(n):
-            row = men[m]
-            w_cur = match[m]
-            man_cur = row[w_cur] + women[w_cur][m]
-            for w in range(n):
-                new = row[w] + women[w][m]
-                if new > man_cur:
-                    m_cur = inverse[w]
-                    if new > men[m_cur][w] + women[w][m_cur]:
-                        return False
-        return True
-    for m in range(n):
-        row = men[m]
-        w_cur = match[m]
-        man_cur = max(row[w_cur], women[w_cur][m])
-        for w in range(n):
-            new = max(row[w], women[w][m])
-            if new > man_cur:
-                m_cur = inverse[w]
-                if new > max(men[m_cur][w], women[w][m_cur]):
-                    return False
-    return True
+    return not _blocks(instance, marriage, notion, alpha, True)
 
 
 def dominates(instance: QuantInstance, first: Marriage, second: Marriage) -> bool:
@@ -199,20 +217,3 @@ def lex_key(marriage: Marriage, men_order, women_order) -> tuple[int, ...]:
     Smaller keys are better (rank 0 is the most popular woman)."""
     rank = {w: r for r, w in enumerate(women_order)}
     return tuple(rank[marriage.partner_of_man[m]] for m in men_order)
-
-
-def lex_compare(first: Marriage, second: Marriage, men_order, women_order) -> str:
-    """Compare two marriages lexicographically: scan men in men_order, and at
-    the first man whose partners differ prefer the marriage giving him the
-    women_order-preferred partner.
-
-    Returns "first", "second", or "equal" (equal only for identical
-    marriages, so this is a strict total order on distinct marriages).
-    """
-    a = lex_key(first, men_order, women_order)
-    b = lex_key(second, men_order, women_order)
-    if a < b:
-        return "first"
-    if a > b:
-        return "second"
-    return "equal"

@@ -1,0 +1,90 @@
+"""Plain, slow references that the tests hold the fast paths against.
+
+Each one spells its rule out directly, with no shared helpers, so a fault in
+the library's scan or proposal loop cannot hide in the reference as well.
+"""
+
+import smq
+
+
+def reference_blocking_pairs(instance, marriage, notion, alpha=None):
+    """(man, woman, witness) for every blocking pair, in ascending order.
+
+    classical: both strictly prefer each other to their current partners.
+    alpha: both gain at least alpha score points.
+    link-add / link-max: the pair's strength (sum, resp. max, of the two
+    scores) exceeds the strength of both current pairings.
+    """
+    men = instance.men_scores
+    women = instance.women_scores
+    match = marriage.partner_of_man
+    inverse = marriage.inverse()
+    found = []
+
+    for m in range(instance.n):
+        w_cur = match[m]
+        for w in range(instance.n):
+            if w == w_cur:
+                continue
+            m_cur = inverse[w]
+            if notion == "classical":
+                if men[m][w] > men[m][w_cur] and women[w][m] > women[w][m_cur]:
+                    found.append((m, w, {
+                        "man_score_new": men[m][w],
+                        "man_score_current": men[m][w_cur],
+                        "woman_score_new": women[w][m],
+                        "woman_score_current": women[w][m_cur],
+                    }))
+            elif notion == "alpha":
+                man_gain = men[m][w] - men[m][w_cur]
+                woman_gain = women[w][m] - women[w][m_cur]
+                if man_gain >= alpha and woman_gain >= alpha:
+                    found.append((m, w, {
+                        "man_score_new": men[m][w],
+                        "man_score_current": men[m][w_cur],
+                        "woman_score_new": women[w][m],
+                        "woman_score_current": women[w][m_cur],
+                        "man_gain": man_gain,
+                        "woman_gain": woman_gain,
+                    }))
+            else:
+                if notion == "link-add":
+                    new = men[m][w] + women[w][m]
+                    man_cur = men[m][w_cur] + women[w_cur][m]
+                    woman_cur = men[m_cur][w] + women[w][m_cur]
+                else:
+                    new = max(men[m][w], women[w][m])
+                    man_cur = max(men[m][w_cur], women[w_cur][m])
+                    woman_cur = max(men[m_cur][w], women[w][m_cur])
+                if new > man_cur and new > woman_cur:
+                    found.append((m, w, {
+                        "link_new": new,
+                        "link_man_current": man_cur,
+                        "link_woman_current": woman_cur,
+                    }))
+    return found
+
+
+def shuffled_deferred_acceptance(profile, rng):
+    """Men-proposing deferred acceptance in which a random free man proposes
+    next, instead of the lowest-indexed one."""
+    n = len(profile.men_prefs)
+    next_choice = [0] * n
+    fiance = [None] * n
+    free = list(range(n))
+    while free:
+        m = free.pop(rng.randrange(len(free)))
+        w = profile.men_prefs[m][next_choice[m]]
+        next_choice[m] += 1
+        current = fiance[w]
+        if current is None:
+            fiance[w] = m
+        elif profile.women_prefs[w].index(m) < profile.women_prefs[w].index(current):
+            fiance[w] = m
+            free.append(current)
+        else:
+            free.append(m)
+    partner = [0] * n
+    for w, m in enumerate(fiance):
+        partner[m] = w
+    return smq.Marriage(tuple(partner))

@@ -78,6 +78,41 @@ def test_check_blocking_pair_exits_three(files, capsys):
     assert [(p["m"], p["w"]) for p in report["pairs"]] == [(0, 0)]
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["--notion", "classical", "-i", "P_B"], [
+        '{"notion":"classical","alpha":null,"pairs":[{"m":0,"w":0,"witness":'
+        '{"man_score_new":3,"man_score_current":2,"woman_score_new":8,'
+        '"woman_score_current":5}}]}',
+        "1 blocking pair(s) under classical:",
+        "  (m1,w1): m1 scores w1 at 3 vs current 2; w1 scores m1 at 8 vs current 5",
+    ]),
+    (["--notion", "alpha", "--alpha", "1", "-i", "P_B"], [
+        '{"notion":"alpha","alpha":1,"pairs":[{"m":0,"w":0,"witness":'
+        '{"man_score_new":3,"man_score_current":2,"woman_score_new":8,'
+        '"woman_score_current":5,"man_gain":1,"woman_gain":3}}]}',
+        "1 blocking pair(s) under alpha:",
+        "  (m1,w1): m1 scores w1 at 3 vs current 2; w1 scores m1 at 8 vs current 5",
+    ]),
+    (["--notion", "link-add", "-i", "P_C"], [
+        '{"notion":"link-add","alpha":null,"pairs":[{"m":0,"w":0,"witness":'
+        '{"link_new":35,"link_man_current":13,"link_woman_current":10}}]}',
+        "1 blocking pair(s) under link-add:",
+        "  (m1,w1): link 35 beats m1's current 13 and w1's current 10",
+    ]),
+    (["--notion", "link-max", "-i", "P_C"], [
+        '{"notion":"link-max","alpha":null,"pairs":[{"m":0,"w":0,"witness":'
+        '{"link_new":30,"link_man_current":10,"link_woman_current":6}}]}',
+        "1 blocking pair(s) under link-max:",
+        "  (m1,w1): link 30 beats m1's current 10 and w1's current 6",
+    ]),
+])
+def test_check_pretty_prints_witnesses(files, capsys, argv, expected):
+    argv = [files.get(arg, arg) for arg in argv]
+    code, out, _ = run(capsys, "check", *argv, "--marriage", "1,0", "--pretty")
+    assert code == 3
+    assert out.splitlines() == expected
+
+
 def test_check_malformed_marriage_exits_four(files, capsys):
     for bad in ("0,0", "0", "0,1,2", "a,b"):
         code, _, err = run(capsys, "check", "--notion", "classical",
@@ -95,6 +130,22 @@ def test_invalid_instance_exits_one(files, capsys):
     code, _, _ = run(capsys, "solve", "--notion", "male", "-i",
                      str(files["dir"] / "nope.json"))
     assert code == 1
+
+
+def test_non_utf8_instance_exits_one(files, capsys):
+    bad = files["dir"] / "latin.json"
+    bad.write_bytes(b"\xff\xfe{")
+    code, out, err = run(capsys, "solve", "--notion", "male", "-i", str(bad))
+    assert code == 1 and out == ""
+    assert "cannot read instance file" in err
+
+
+def test_deeply_nested_instance_exits_one(files, capsys):
+    deep = files["dir"] / "deep.json"
+    deep.write_text("[" * 200_000)
+    code, out, err = run(capsys, "solve", "--notion", "male", "-i", str(deep))
+    assert code == 1 and out == ""
+    assert "invalid instance" in err
 
 
 def test_usage_errors_exit_two(files, capsys):

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smq
-from smq.gale_shapley import _deferred_acceptance
 from conftest import P_A, P_B, instances
+from references import shuffled_deferred_acceptance
 
 
 def final_engagements(trace):
@@ -94,8 +94,5 @@ def test_proposer_optimality_against_enumeration(inst):
 @given(instances(), st.integers(0, 2**32 - 1))
 def test_result_does_not_depend_on_free_proposer_order(inst, seed):
     profile = smq.derive_classical(inst)
-    ascending = _deferred_acceptance(profile.men_prefs, profile.women_prefs)
-    shuffled = _deferred_acceptance(
-        profile.men_prefs, profile.women_prefs, rng=random.Random(seed)
-    )
-    assert ascending == shuffled
+    shuffled = shuffled_deferred_acceptance(profile, random.Random(seed))
+    assert shuffled == smq.gs(profile, "men")

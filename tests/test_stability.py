@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 import smq
 from conftest import M1, M2, P_B, P_C, instances, instances_with_marriage
+from references import reference_blocking_pairs
 
 
 def test_alpha_two_accepts_the_swapped_marriage():
@@ -69,19 +70,15 @@ def test_raising_the_threshold_removes_blocking_pairs(pair, alpha, extra):
     assert high_pairs <= low_pairs
 
 
-@given(instances_with_marriage())
-def test_is_stable_agrees_with_full_report(pair):
+@given(instances_with_marriage(), st.integers(1, 3))
+def test_scan_matches_reference(pair, alpha):
     inst, marriage = pair
-    for notion, alpha in [
-        ("classical", None),
-        ("alpha", 1),
-        ("alpha", 2),
-        ("link-add", None),
-        ("link-max", None),
-    ]:
-        assert smq.is_stable(inst, marriage, notion, alpha) == smq.blocking_pairs(
-            inst, marriage, notion, alpha
-        ).stable
+    for notion in smq.stability.NOTIONS:
+        a = alpha if notion == "alpha" else None
+        expected = reference_blocking_pairs(inst, marriage, notion, a)
+        report = smq.blocking_pairs(inst, marriage, notion, a)
+        assert [(p.man, p.woman, p.witness) for p in report.pairs] == expected
+        assert smq.is_stable(inst, marriage, notion, a) == (not expected)
 
 
 def test_dominance_on_gap_two_fixture():
@@ -100,32 +97,25 @@ def test_dominance_is_irreflexive_and_antisymmetric(inst, data):
     assert not (smq.dominates(inst, a, b) and smq.dominates(inst, b, a))
 
 
-def test_lex_compare_on_gap_two_fixture():
-    assert smq.lex_compare(M1, M2, (0, 1), (0, 1)) == "first"
-    assert smq.lex_compare(M1, M1, (0, 1), (0, 1)) == "equal"
-    assert smq.lex_compare(M1, M2, (0, 1), (1, 0)) == "second"
+def test_lex_key_on_gap_two_fixture():
+    assert smq.lex_key(M1, (0, 1), (0, 1)) < smq.lex_key(M2, (0, 1), (0, 1))
+    assert smq.lex_key(M1, (0, 1), (1, 0)) > smq.lex_key(M2, (0, 1), (1, 0))
 
 
 @given(st.integers(2, 5), st.data())
 @settings(max_examples=60)
-def test_lex_compare_is_total_and_transitive(n, data):
+def test_lex_key_order_is_total_and_transitive(n, data):
     perm = st.permutations(tuple(range(n)))
     men_order = tuple(data.draw(perm))
     women_order = tuple(data.draw(perm))
     marriages = [smq.Marriage(tuple(data.draw(perm))) for _ in range(3)]
+    keys = [smq.lex_key(m, men_order, women_order) for m in marriages]
 
-    def beats(x, y):
-        return smq.lex_compare(x, y, men_order, women_order) == "first"
-
-    for x in marriages:
-        for y in marriages:
-            verdict = smq.lex_compare(x, y, men_order, women_order)
-            if x == y:
-                assert verdict == "equal"
-            else:
-                assert verdict in ("first", "second")
-                flipped = smq.lex_compare(y, x, men_order, women_order)
-                assert {verdict, flipped} == {"first", "second"}
-    a, b, c = marriages
-    if beats(a, b) and beats(b, c):
-        assert beats(a, c)
+    for x, kx in zip(marriages, keys):
+        for y, ky in zip(marriages, keys):
+            assert (kx == ky) == (x == y)
+            if x != y:
+                assert (kx < ky) != (ky < kx)
+    a, b, c = keys
+    if a < b and b < c:
+        assert a < c
