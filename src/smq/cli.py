@@ -33,6 +33,11 @@ from .stability import BlockingReport, blocking_pairs
 
 OK, INVALID_INSTANCE, USAGE, UNSTABLE, BAD_MARRIAGE = 0, 1, 2, 3, 4
 
+# Largest instance `gen` writes, four times the n=500 the solvers are held
+# to. Memory grows as n^2: at this size a run peaks near 450 MB on 64-bit
+# CPython 3.11.
+GEN_MAX_N = 2000
+
 
 class _Fail(Exception):
     def __init__(self, code: int, message: str):
@@ -88,7 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     trans.set_defaults(func=_cmd_transform)
 
     gen = sub.add_parser("gen", help="emit a seeded random instance")
-    gen.add_argument("--n", type=int, required=True)
+    gen.add_argument("--n", type=int, required=True,
+                     help=f"instance size, 1..{GEN_MAX_N}")
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--max-score", type=int, default=100,
                      help="scores are drawn without replacement from 1..K (K >= n)")
@@ -255,6 +261,8 @@ def _cmd_transform(args) -> int:
 def _cmd_gen(args) -> int:
     if args.n < 1:
         raise _Fail(USAGE, "--n must be >= 1")
+    if args.n > GEN_MAX_N:
+        raise _Fail(USAGE, f"--n {args.n} exceeds the gen ceiling of {GEN_MAX_N}")
     if args.max_score < args.n:
         raise _Fail(USAGE, f"--max-score {args.max_score} cannot cover {args.n} distinct scores")
     print(serialize_instance(random_instance(args.n, args.seed, args.max_score)))

@@ -1,22 +1,24 @@
-"""Brute-force ground truth at desk scale.
+"""Exhaustive ground truth at desk scale.
 
-Everything here enumerates all n! marriages, so it refuses instances above
-a configurable size bound instead of silently sampling. The module exists
-to certify the solvers: exact stable sets per notion, dominance-free
-subsets, lexicographic optima, highest-strength marriages, and the
-weak-stability dual filters used to cross-check set equalities.
+Stable sets come from a backtracking search over all n! marriages that cuts
+every partial marriage already holding a blocking pair; the weak-stability
+filter scans every permutation. Both are exponential in the worst case, so
+the module refuses instances above a configurable size bound instead of
+silently sampling. It exists to certify the solvers: exact stable sets per
+notion, dominance-free subsets, lexicographic optima, highest-strength
+marriages, and the weak-stability dual filters used to cross-check set
+equalities.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .alpha import SemiorderProfile, TotalOrder
 from .instances import Marriage, QuantInstance, WeakProfile
 from .link import marriage_link
-from .stability import dominates, is_stable, lex_key
+from .stability import _check_notion, dominates, is_stable, lex_key
 
 DEFAULT_SIZE_BOUND = 8
 
@@ -71,15 +73,98 @@ def _check_bound(n: int, size_bound: int) -> None:
         )
 
 
-def _scan_block(instance: QuantInstance, notion: str, alpha: int | None, first: int):
-    """Stable matches among permutations assigning woman `first` to man 0."""
-    rest = [w for w in range(instance.n) if w != first]
-    out = []
-    for tail in itertools.permutations(rest):
-        match = (first, *tail)
-        if is_stable(instance, Marriage(match), notion, alpha):
-            out.append(match)
+def _pair_values(instance: QuantInstance, notion: str, alpha: int | None):
+    """(U, V, g) such that, under the notion, the pair (m, w) blocks a
+    marriage exactly when U[m][w] >= U[m][w'] + g and V[m][w] >= V[m'][w] + g,
+    where w' is m's partner and m' is w's. Scores are integers, so a strict
+    preference is a gain of at least 1."""
+    men = instance.men_scores
+    women = instance.women_scores
+    n = instance.n
+    if notion == "classical" or notion == "alpha":
+        by_man = [[women[w][m] for w in range(n)] for m in range(n)]
+        return men, by_man, 1 if notion == "classical" else alpha
+    if notion == "link-add":
+        strength = [[men[m][w] + women[w][m] for w in range(n)] for m in range(n)]
+    else:
+        strength = [[max(men[m][w], women[w][m]) for w in range(n)] for m in range(n)]
+    return strength, strength, 1
+
+
+def _scan(
+    instance: QuantInstance, notion: str, alpha: int | None, first: int | None = None
+) -> list[tuple[int, ...]]:
+    """Stable matches in lexicographic order, by backtracking: men are
+    placed in index order, each trying the free women in ascending index.
+    With `first` given, man 0 is placed with that woman only.
+
+    A pair's verdict is fixed once the man and the woman's partner are both
+    placed, so placing man k with woman w tests just the pairs (k, match[j])
+    and (j, w) for j < k, and a blocked prefix is cut with everything below
+    it. Each complete match is then certified by `is_stable`, so a fault in
+    the cut could only drop members, never admit one.
+    """
+    U, V, g = _pair_values(instance, notion, alpha)
+    n = instance.n
+    match = [0] * n
+    man_needs = [0] * n  # man j's bound: U[j][match[j]] + g
+    woman_needs = [0] * n  # woman w's bound: V[her man][w] + g
+    used = [False] * n
+    out: list[tuple[int, ...]] = []
+
+    def place(k: int) -> None:
+        u, v = U[k], V[k]
+        for w in range(n) if k or first is None else (first,):
+            if used[w]:
+                continue
+            k_needs = u[w] + g
+            w_needs = v[w] + g
+            for j in range(k):
+                wj = match[j]
+                if (u[wj] >= k_needs and v[wj] >= woman_needs[wj]) or (
+                    U[j][w] >= man_needs[j] and V[j][w] >= w_needs
+                ):
+                    break
+            else:
+                match[k] = w
+                if k + 1 == n:
+                    full = tuple(match)
+                    if is_stable(instance, Marriage(full), notion, alpha):
+                        out.append(full)
+                    continue
+                man_needs[k] = k_needs
+                woman_needs[w] = w_needs
+                used[w] = True
+                place(k + 1)
+                used[w] = False
+
+    place(0)
     return out
+
+
+def _stable_marriages(
+    instance: QuantInstance, notion: str, alpha: int | None, size_bound: int, jobs: int = 1
+) -> list[Marriage]:
+    """The stable set in lexicographic match order, without annotations.
+    With jobs > 1 the parts, one per partner of man 0, come back in order."""
+    _check_bound(instance.n, size_bound)
+    _check_notion(notion, alpha)
+    if jobs > 1 and instance.n > 1:
+        # Imported here: it costs a sizeable share of `import smq`.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(jobs, instance.n)) as pool:
+            parts = pool.map(
+                _scan,
+                itertools.repeat(instance),
+                itertools.repeat(notion),
+                itertools.repeat(alpha),
+                range(instance.n),
+            )
+            matches = [m for part in parts for m in part]
+    else:
+        matches = _scan(instance, notion, alpha)
+    return [Marriage(m) for m in matches]
 
 
 def enumerate_stable(
@@ -90,41 +175,36 @@ def enumerate_stable(
     size_bound: int = DEFAULT_SIZE_BOUND,
     jobs: int = 1,
 ) -> StableSet:
-    """Exact stable set under a notion, by exhaustive permutation scan.
+    """Exact stable set under a notion, by pruned backtracking search.
 
-    Permutations are visited in lexicographic order. With jobs > 1 the scan
-    is partitioned across worker processes by man 0's partner; partitions
-    are merged and re-sorted, so the result is identical for any job count.
+    Marriages come out in lexicographic match order. With jobs > 1 the
+    search is partitioned across worker processes by man 0's partner; the
+    result is identical for any job count.
+
+    Dominance flags come from a sort-filter skyline: a dominator has a
+    strictly larger sum of men's scores and dominance is transitive, so
+    members visited in descending sum order need only be tested against the
+    undominated members found before them.
 
     Raises SizeBoundError when n exceeds size_bound (default 8).
     """
-    _check_bound(instance.n, size_bound)
-    if jobs > 1 and instance.n > 1:
-        # Imported here: it costs a sizeable share of `import smq`.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, instance.n)) as pool:
-            blocks = pool.map(
-                _scan_block,
-                itertools.repeat(instance),
-                itertools.repeat(notion),
-                itertools.repeat(alpha),
-                range(instance.n),
-            )
-            matches = sorted(m for block in blocks for m in block)
-    else:
-        matches = [m for w in range(instance.n) for m in _scan_block(instance, notion, alpha, w)]
-    stable = [Marriage(m) for m in matches]
+    stable = _stable_marriages(instance, notion, alpha, size_bound, jobs)
+    men = instance.men_scores
+    sums = [sum(row[w] for row, w in zip(men, m.partner_of_man)) for m in stable]
+    flags = [False] * len(stable)
+    skyline: list[Marriage] = []
+    for i in sorted(range(len(stable)), key=sums.__getitem__, reverse=True):
+        if not any(dominates(instance, top, stable[i]) for top in skyline):
+            skyline.append(stable[i])
+            flags[i] = True
     entries = tuple(
         StableEntry(
             marriage=m,
-            undominated=not any(
-                dominates(instance, other, m) for other in stable if other != m
-            ),
+            undominated=flag,
             link_add=marriage_link(instance, m, "add"),
             link_max=marriage_link(instance, m, "max"),
         )
-        for m in stable
+        for m, flag in zip(stable, flags)
     )
     return StableSet(notion, alpha, entries)
 
@@ -145,8 +225,8 @@ def lex_optimum(
     """The lexicographically best alpha-stable marriage for the given
     popularity orders. Unique because the lexicographic comparison is a
     strict total order and the stable set is never empty."""
-    stable = enumerate_stable(instance, "alpha", alpha, size_bound=size_bound)
-    return min(stable.marriages(), key=lambda m: lex_key(m, men_order, women_order))
+    stable = _stable_marriages(instance, "alpha", alpha, size_bound)
+    return min(stable, key=lambda m: lex_key(m, men_order, women_order))
 
 
 def highest_link(
@@ -156,10 +236,10 @@ def highest_link(
     size_bound: int = DEFAULT_SIZE_BOUND,
 ) -> list[Marriage]:
     """Link-stable marriages attaining the maximal aggregate strength."""
-    entries = enumerate_stable(instance, f"link-{mode}", size_bound=size_bound).entries
-    strength = attrgetter(f"link_{mode}")
-    best = max(map(strength, entries))
-    return [e.marriage for e in entries if strength(e) == best]
+    stable = _stable_marriages(instance, f"link-{mode}", None, size_bound)
+    strengths = [marriage_link(instance, m, mode) for m in stable]
+    best = max(strengths)
+    return [m for m, s in zip(stable, strengths) if s == best]
 
 
 def feasible_partners(
@@ -170,10 +250,9 @@ def feasible_partners(
 ) -> tuple[list[set[int]], list[set[int]]]:
     """Per-person partner sets across all alpha-stable marriages: first the
     men's woman-sets, then the women's man-sets."""
-    stable = enumerate_stable(instance, "alpha", alpha, size_bound=size_bound)
     men: list[set[int]] = [set() for _ in range(instance.n)]
     women: list[set[int]] = [set() for _ in range(instance.n)]
-    for marriage in stable.marriages():
+    for marriage in _stable_marriages(instance, "alpha", alpha, size_bound):
         for m, w in marriage.pairs():
             men[m].add(w)
             women[w].add(m)

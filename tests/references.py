@@ -1,8 +1,11 @@
 """Plain, slow references that the tests hold the fast paths against.
 
 Each one spells its rule out directly, with no shared helpers, so a fault in
-the library's scan or proposal loop cannot hide in the reference as well.
+the library's scan, search or proposal loop cannot hide in the reference as
+well.
 """
+
+import itertools
 
 import smq
 
@@ -88,3 +91,26 @@ def shuffled_deferred_acceptance(profile, rng):
     for w, m in enumerate(fiance):
         partner[m] = w
     return smq.Marriage(tuple(partner))
+
+
+def reference_enumerate_stable(instance, notion, alpha=None):
+    """The annotated stable set by exhaustive scan: every permutation, in
+    lexicographic order, is kept when `is_stable` accepts it, and every member
+    is tested for dominance against every other member."""
+    stable = [
+        smq.Marriage(match)
+        for match in itertools.permutations(range(instance.n))
+        if smq.is_stable(instance, smq.Marriage(match), notion, alpha)
+    ]
+    entries = tuple(
+        smq.StableEntry(
+            marriage=m,
+            undominated=not any(
+                smq.dominates(instance, other, m) for other in stable if other != m
+            ),
+            link_add=smq.marriage_link(instance, m, "add"),
+            link_max=smq.marriage_link(instance, m, "max"),
+        )
+        for m in stable
+    )
+    return smq.StableSet(notion, alpha, entries)

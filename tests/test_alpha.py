@@ -202,6 +202,26 @@ def test_lex_solver_output_is_alpha_stable(inst, alpha):
     assert smq.blocking_pairs(inst, marriage, "alpha", alpha).stable
 
 
+@given(instances(), alphas)
+@settings(max_examples=60)
+def test_lex_solver_is_men_optimal_for_its_own_linearization(inst, alpha):
+    # The guided solver does not always return the lex optimum (finding A6),
+    # but it is the men-optimal classical stable marriage of the strict
+    # profile it linearizes to: every man gets his best stable partner.
+    men_order, women_order = smq.popularity_orders(inst)
+    profile = smq.linearize(smq.alpha_transform(inst, alpha), men_order, women_order)
+    n = inst.n
+
+    def scores(prefs):
+        return tuple(tuple(n - row.index(c) for c in range(n)) for row in prefs)
+
+    strict = smq.validate(n, scores(profile.men_prefs), scores(profile.women_prefs))
+    stable = smq.enumerate_stable(strict, "classical").marriages()
+    solved = smq.lex_male_alpha_gs(inst, alpha).partner_of_man
+    for m, row in enumerate(strict.men_scores):
+        assert row[solved[m]] == max(row[s.partner_of_man[m]] for s in stable)
+
+
 def test_voting_rule_is_pluggable():
     by_index = lambda ballots: tuple(range(len(ballots)))
     marriage = smq.lex_male_alpha_gs(P_B, 2, rule=by_index)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import smq
-from smq.cli import main
+from smq.cli import GEN_MAX_N, main
 from conftest import P_A, P_B, P_C
 
 
@@ -227,6 +227,14 @@ def test_gen_rejects_small_score_range(capsys):
     code, _, err = run(capsys, "gen", "--n", "5", "--seed", "1", "--max-score", "4")
     assert code == 2 and "max-score" in err
     assert run(capsys, "gen", "--n", "0", "--seed", "1")[0] == 2
+
+
+def test_gen_refuses_sizes_above_its_ceiling(capsys):
+    # refused before any score is drawn, so this allocates nothing
+    code, out, err = run(capsys, "gen", "--n", "1000000000", "--seed", "1",
+                         "--max-score", "2000000000")
+    assert code == 2 and out == ""
+    assert err == f"error: --n 1000000000 exceeds the gen ceiling of {GEN_MAX_N}\n"
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -1,9 +1,17 @@
+import time
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smq
 from conftest import M1, M2, P_A, P_B, P_C, alphas, instances
+from references import reference_enumerate_stable
 from test_link import ALL_TIED
+
+# Small score ranges make ties across rows (and between the two scores of a
+# pair) common; validate admits those, only a repeat within one row is refused.
+tied_instances = st.integers(5, 12).flatmap(lambda k: instances(max_n=6, max_score=k))
 
 
 def test_gap_two_stable_set():
@@ -45,6 +53,31 @@ def test_worker_partitioning_is_deterministic():
         sequential = smq.enumerate_stable(inst, "classical")
         parallel = smq.enumerate_stable(inst, "classical", jobs=2)
         assert sequential == parallel
+    dense = smq.random_instance(6, seed=2, max_score=6)
+    expected = reference_enumerate_stable(dense, "alpha", 2)
+    assert len(expected) > 1
+    assert smq.enumerate_stable(dense, "alpha", 2, jobs=2) == expected
+
+
+@given(tied_instances, alphas)
+@settings(max_examples=150)
+def test_search_and_skyline_match_exhaustive_scan(inst, alpha):
+    for notion in ("classical", "alpha", "link-add", "link-max"):
+        a = alpha if notion == "alpha" else None
+        expected = reference_enumerate_stable(inst, notion, a)
+        assert smq.enumerate_stable(inst, notion, a).to_json() == expected.to_json()
+
+
+def test_dense_stable_set_is_annotated_fast():
+    # 6,394 of the 40,320 marriages are stable: testing every member against
+    # every other would take some 40 million dominance tests
+    inst = smq.random_instance(8, seed=5, max_score=8)
+    start = time.perf_counter()
+    stable = smq.enumerate_stable(inst, "alpha", 4)
+    elapsed = time.perf_counter() - start
+    assert len(stable) == 6394
+    assert len(smq.undominated(inst, stable)) == 32
+    assert elapsed < 3.0
 
 
 def test_both_gap_two_marriages_are_undominated():
