@@ -10,6 +10,7 @@ orders produced by a voting rule.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .gale_shapley import gs
@@ -108,35 +109,43 @@ def linearize(
     best (women_order guides men's lists, men_order guides women's). The
     result is always a linear extension, and it is the guide-lexicographically
     best one; lists that are already total come out unchanged.
+
+    The greedy runs as one sweep per list in descending score. With M the
+    highest remaining score, candidate c is unbeaten exactly when
+    score(c) > M - alpha, so candidates join a heap keyed by guide rank as
+    soon as they clear that floor, and each step pops the heap's best. The
+    floor never rises, so a candidate in the heap stays unbeaten until it is
+    popped. Cost: O(n log n) per list, O(n^2 log n) for the profile.
     """
     men_rank = {m: r for r, m in enumerate(men_order)}
     women_rank = {w: r for r, w in enumerate(women_order)}
+    alpha = semiorder.alpha
     men_prefs = tuple(
-        _greedy_extension(semiorder, "men", i, women_rank) for i in range(semiorder.n)
+        _sweep(row, alpha, women_rank) for row in semiorder.instance.men_scores
     )
     women_prefs = tuple(
-        _greedy_extension(semiorder, "women", i, men_rank) for i in range(semiorder.n)
+        _sweep(row, alpha, men_rank) for row in semiorder.instance.women_scores
     )
     return StrictProfile(men_prefs, women_prefs)
 
 
-def _greedy_extension(
-    semiorder: SemiorderProfile, side: str, person: int, guide_rank: dict[int, int]
-) -> tuple[int, ...]:
-    remaining = list(range(semiorder.n))
+def _sweep(row: tuple[int, ...], alpha: int, guide_rank: dict[int, int]) -> tuple[int, ...]:
+    by_score = sorted(range(len(row)), key=row.__getitem__, reverse=True)
+    emitted = [False] * len(row)
+    heap: list[tuple[int, int]] = []
+    top = entered = 0  # by_score[top] scores M; by_score[entered:] are not in the heap
     out = []
-    while remaining:
-        undominated = [
-            c
-            for c in remaining
-            if not any(
-                d != c and semiorder.strictly_prefers(side, person, d, c)
-                for d in remaining
-            )
-        ]
-        best = min(undominated, key=guide_rank.__getitem__)
-        out.append(best)
-        remaining.remove(best)
+    for _ in by_score:
+        while emitted[by_score[top]]:
+            top += 1
+        floor = row[by_score[top]] - alpha
+        while entered < len(row) and row[by_score[entered]] > floor:
+            c = by_score[entered]
+            heapq.heappush(heap, (guide_rank[c], c))
+            entered += 1
+        c = heapq.heappop(heap)[1]
+        emitted[c] = True
+        out.append(c)
     return tuple(out)
 
 

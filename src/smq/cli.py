@@ -265,6 +265,9 @@ def _cmd_gen(args) -> int:
         raise _Fail(USAGE, f"--n {args.n} exceeds the gen ceiling of {GEN_MAX_N}")
     if args.max_score < args.n:
         raise _Fail(USAGE, f"--max-score {args.max_score} cannot cover {args.n} distinct scores")
+    if args.max_score > sys.maxsize:
+        # random.sample cannot take the length of a larger score range
+        raise _Fail(USAGE, f"--max-score {args.max_score} exceeds the gen ceiling of {sys.maxsize}")
     print(serialize_instance(random_instance(args.n, args.seed, args.max_score)))
     return OK
 

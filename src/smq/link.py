@@ -10,6 +10,8 @@ acceptance.
 
 from __future__ import annotations
 
+import operator
+
 from .gale_shapley import gs
 from .instances import Marriage, QuantInstance, StrictProfile, WeakProfile
 
@@ -32,8 +34,11 @@ def link_value(instance: QuantInstance, man: int, woman: int, mode: str) -> int:
 def marriage_link(instance: QuantInstance, marriage: Marriage, mode: str) -> int:
     """Aggregate strength of a marriage: sum of pair strengths for 'add',
     maximum pair strength for 'max'."""
-    values = (link_value(instance, m, w, mode) for m, w in marriage.pairs())
-    return sum(values) if mode == "add" else max(values)
+    _check_mode(mode)
+    men, women = instance.men_scores, instance.women_scores
+    if mode == "add":
+        return sum(men[m][w] + women[w][m] for m, w in marriage.pairs())
+    return max(max(men[m][w], women[w][m]) for m, w in marriage.pairs())
 
 
 def link_transform(instance: QuantInstance, mode: str) -> WeakProfile:
@@ -43,18 +48,20 @@ def link_transform(instance: QuantInstance, mode: str) -> WeakProfile:
     rows are sorted by descending value, ascending candidate index.
     """
     _check_mode(mode)
-    n = instance.n
-    men_values = tuple(
-        tuple(sorted(((w, link_value(instance, m, w, mode)) for w in range(n)),
-                     key=lambda p: (-p[1], p[0])))
-        for m in range(n)
-    )
-    women_values = tuple(
-        tuple(sorted(((m, link_value(instance, m, w, mode)) for m in range(n)),
-                     key=lambda p: (-p[1], p[0])))
-        for w in range(n)
-    )
-    return WeakProfile(men_values, women_values)
+    combine = operator.add if mode == "add" else max
+    # values[m][w] = strength of (m, w); zip(*women_scores) yields the
+    # women's columns, one per man.
+    values = [
+        list(map(combine, men_row, women_column))
+        for men_row, women_column in zip(instance.men_scores, zip(*instance.women_scores))
+    ]
+    return WeakProfile(_ranked(values), _ranked(zip(*values)))
+
+
+def _ranked(rows) -> tuple:
+    # sorted() is stable under reverse=True, so equal values keep ascending index
+    by_value = operator.itemgetter(1)
+    return tuple(tuple(sorted(enumerate(row), key=by_value, reverse=True)) for row in rows)
 
 
 def has_ties(profile: WeakProfile) -> bool:

@@ -114,3 +114,59 @@ def reference_enumerate_stable(instance, notion, alpha=None):
         for m in stable
     )
     return smq.StableSet(notion, alpha, entries)
+
+
+def reference_linearize(semiorder, men_order, women_order):
+    """Each list's guide-lexicographically best linear extension by the direct
+    greedy: every step rescans all remaining pairs for one that is strictly
+    beaten, then emits the best-ranked unbeaten candidate."""
+    men_rank = {m: r for r, m in enumerate(men_order)}
+    women_rank = {w: r for r, w in enumerate(women_order)}
+    men_prefs = tuple(
+        _greedy_extension(semiorder, "men", i, women_rank) for i in range(semiorder.n)
+    )
+    women_prefs = tuple(
+        _greedy_extension(semiorder, "women", i, men_rank) for i in range(semiorder.n)
+    )
+    return smq.StrictProfile(men_prefs, women_prefs)
+
+
+def _greedy_extension(semiorder, side, person, guide_rank):
+    remaining = list(range(semiorder.n))
+    out = []
+    while remaining:
+        undominated = [
+            c
+            for c in remaining
+            if not any(
+                d != c and semiorder.strictly_prefers(side, person, d, c)
+                for d in remaining
+            )
+        ]
+        best = min(undominated, key=guide_rank.__getitem__)
+        out.append(best)
+        remaining.remove(best)
+    return tuple(out)
+
+
+def reference_link_transform(instance, mode):
+    """Pair strengths by one `link_value` call per pair, each row sorted by
+    descending value, ascending candidate index."""
+    n = instance.n
+    men_values = tuple(
+        tuple(sorted(((w, smq.link_value(instance, m, w, mode)) for w in range(n)),
+                     key=lambda p: (-p[1], p[0])))
+        for m in range(n)
+    )
+    women_values = tuple(
+        tuple(sorted(((m, smq.link_value(instance, m, w, mode)) for m in range(n)),
+                     key=lambda p: (-p[1], p[0])))
+        for w in range(n)
+    )
+    return smq.WeakProfile(men_values, women_values)
+
+
+def reference_marriage_link(instance, marriage, mode):
+    """Sum ('add') or maximum ('max') of `link_value` over the marriage's pairs."""
+    values = (smq.link_value(instance, m, w, mode) for m, w in marriage.pairs())
+    return sum(values) if mode == "add" else max(values)

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 import smq
 from conftest import P_A, P_B, alphas, instances
+from references import reference_linearize
 
 
 def test_transform_marks_small_gaps_incomparable():
@@ -226,3 +228,27 @@ def test_voting_rule_is_pluggable():
     by_index = lambda ballots: tuple(range(len(ballots)))
     marriage = smq.lex_male_alpha_gs(P_B, 2, rule=by_index)
     assert smq.blocking_pairs(P_B, marriage, "alpha", 2).stable
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_sweep_matches_reference_greedy(data):
+    # alpha runs past the whole score range, where every pair is incomparable
+    # and each list is the guide order itself
+    max_score = data.draw(st.integers(7, 30))
+    inst = data.draw(instances(max_n=8, max_score=max_score))
+    alpha = data.draw(st.integers(1, 3 * max_score))
+    men_order = tuple(data.draw(st.permutations(range(inst.n))))
+    women_order = tuple(data.draw(st.permutations(range(inst.n))))
+    semi = smq.alpha_transform(inst, alpha)
+    assert smq.linearize(semi, men_order, women_order) == reference_linearize(
+        semi, men_order, women_order
+    )
+
+
+def test_lex_solver_meets_its_time_bound_at_500():
+    inst = smq.random_instance(500, seed=1, max_score=5000)
+    start = time.perf_counter()
+    marriage = smq.lex_male_alpha_gs(inst, 2500)
+    assert time.perf_counter() - start < 5.0
+    assert sorted(marriage.partner_of_man) == list(range(500))

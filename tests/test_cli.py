@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -235,6 +236,16 @@ def test_gen_refuses_sizes_above_its_ceiling(capsys):
                          "--max-score", "2000000000")
     assert code == 2 and out == ""
     assert err == f"error: --n 1000000000 exceeds the gen ceiling of {GEN_MAX_N}\n"
+
+
+def test_gen_refuses_score_ranges_above_its_ceiling(capsys):
+    big = 10**20
+    code, out, err = run(capsys, "gen", "--n", "2", "--seed", "1", "--max-score", str(big))
+    assert code == 2 and out == ""
+    assert err == f"error: --max-score {big} exceeds the gen ceiling of {sys.maxsize}\n"
+    # the ceiling itself is still drawn from
+    code, out, _ = run(capsys, "gen", "--n", "2", "--seed", "1", "--max-score", str(sys.maxsize))
+    assert code == 0 and smq.parse_instance(out).n == 2
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

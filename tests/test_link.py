@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 
 import smq
-from conftest import P_A, P_C, instances
+from conftest import P_A, P_C, instances, instances_with_marriage
+from references import reference_link_transform, reference_marriage_link
 
 # every pair has additive strength 3, so all marriages tie
 ALL_TIED = smq.QuantInstance(2, ((1, 2), (2, 1)), ((2, 1), (1, 2)))
@@ -102,3 +103,13 @@ def test_no_ties_means_solver_hits_the_unique_strongest(inst):
         best = smq.highest_link(inst, mode)
         assert len(best) == 1
         assert smq.link_stable_gs(inst, mode) == best[0]
+
+
+@given(instances_with_marriage(max_n=8, max_score=20))
+def test_transform_and_strength_match_per_pair_reference(case):
+    inst, marriage = case
+    for mode in ("add", "max"):
+        assert smq.link_transform(inst, mode) == reference_link_transform(inst, mode)
+        assert smq.marriage_link(inst, marriage, mode) == reference_marriage_link(
+            inst, marriage, mode
+        )
