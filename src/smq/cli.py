@@ -15,7 +15,6 @@ import sys
 from .alpha import alpha_transform, lex_male_alpha_gs
 from .gale_shapley import gs
 from .instances import (
-    InvalidInstanceError,
     Marriage,
     QuantInstance,
     derive_classical,
@@ -123,7 +122,9 @@ def _load_instance(path: str) -> QuantInstance:
         raise _Fail(INVALID_INSTANCE, f"cannot read instance file: {exc}")
     try:
         return parse_instance(text)
-    except (InvalidInstanceError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
+        # InvalidInstanceError and json.JSONDecodeError, and also json.loads
+        # refusing an integer literal over the interpreter's digit limit
         raise _Fail(INVALID_INSTANCE, f"invalid instance: {exc}")
     except RecursionError:
         raise _Fail(INVALID_INSTANCE, "invalid instance: JSON nested too deeply")

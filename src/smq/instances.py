@@ -160,6 +160,13 @@ def _checked_matrix(side: str, n: int, rows) -> Matrix:
         raise NonSquareError(f"{side} matrix must have {n} rows")
     out = []
     for person, row in enumerate(rows):
+        # A row of n distinct non-negative plain ints passes on C-level checks
+        # alone. Any other row, faulty or holding int subclasses, takes the
+        # per-cell loop, which accepts or names the first fault in order.
+        if (isinstance(row, (list, tuple)) and len(row) == n
+                and set(map(type, row)) == {int} and min(row) >= 0 and len(set(row)) == n):
+            out.append(tuple(row))
+            continue
         if not isinstance(row, (list, tuple)) or len(row) != n:
             raise NonSquareError(f"{side} row {person + 1} must have {n} entries")
         seen: dict[int, int] = {}
@@ -188,7 +195,7 @@ def derive_classical(instance: QuantInstance) -> StrictProfile:
     )
 
 
-def _rank_row(row: tuple[int, ...]) -> tuple[int, ...]:
+def _rank_row(row: tuple[int, ...] | list[int]) -> tuple[int, ...]:
     return tuple(sorted(range(len(row)), key=row.__getitem__, reverse=True))
 
 
@@ -206,7 +213,9 @@ def make_marriage(values) -> Marriage:
 def parse_instance(text: str) -> QuantInstance:
     """Parse the instance JSON format: {"n":..., "men":[[...]], "women":[[...]]}.
 
-    Raises json.JSONDecodeError on malformed JSON, then the validate errors.
+    Raises json.JSONDecodeError on malformed JSON (a plain ValueError for an
+    integer literal over ``sys.get_int_max_str_digits()``), then the validate
+    errors.
     """
     data = json.loads(text)
     if not isinstance(data, dict):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 
 from .gale_shapley import gs
-from .instances import Marriage, QuantInstance, StrictProfile, WeakProfile
+from .instances import Marriage, QuantInstance, StrictProfile, WeakProfile, _rank_row
 
 MODES = ("add", "max")
 
@@ -47,15 +47,20 @@ def link_transform(instance: QuantInstance, mode: str) -> WeakProfile:
     Both members of a pair carry the identical value, so ties are common;
     rows are sorted by descending value, ascending candidate index.
     """
-    _check_mode(mode)
-    combine = operator.add if mode == "add" else max
-    # values[m][w] = strength of (m, w); zip(*women_scores) yields the
-    # women's columns, one per man.
-    values = [
-        list(map(combine, men_row, women_column))
-        for men_row, women_column in zip(instance.men_scores, zip(*instance.women_scores))
-    ]
+    values = _pair_values(instance, mode)
     return WeakProfile(_ranked(values), _ranked(zip(*values)))
+
+
+def _pair_values(instance: QuantInstance, mode: str) -> list[list[int]]:
+    """values[m][w] = strength of (m, w), with the mode checked once."""
+    _check_mode(mode)
+    # zip(*women_scores) yields the women's columns, one per man
+    rows = zip(instance.men_scores, zip(*instance.women_scores))
+    if mode == "add":
+        return [list(map(operator.add, men_row, women_column)) for men_row, women_column in rows]
+    # the builtin max() per pair costs more than the comparison itself
+    return [[a if a > b else b for a, b in zip(men_row, women_column)]
+            for men_row, women_column in rows]
 
 
 def _ranked(rows) -> tuple:
@@ -83,11 +88,18 @@ def linearize_weak(profile: WeakProfile) -> StrictProfile:
 
 
 def link_stable_gs(instance: QuantInstance, mode: str) -> Marriage:
-    """Solve for a link-stable marriage: transform scores to pair strengths,
-    linearize, and run deferred acceptance with men proposing.
+    """Solve for a link-stable marriage: rank pair strengths and run deferred
+    acceptance with men proposing.
+
+    Every list ranks the other side by pair strength, highest first, equal
+    strengths by ascending candidate index: the profile
+    ``linearize_weak(link_transform(instance, mode))``, ranked straight from
+    the pair values.
 
     The output is always link-stable for the chosen mode. When the
     transformed profile has no ties it is additionally the unique link-stable
     marriage with the highest aggregate strength.
     """
-    return gs(linearize_weak(link_transform(instance, mode)), "men")
+    values = _pair_values(instance, mode)
+    ranked = StrictProfile(tuple(map(_rank_row, values)), tuple(map(_rank_row, zip(*values))))
+    return gs(ranked, "men")

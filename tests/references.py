@@ -8,6 +8,14 @@ well.
 import itertools
 
 import smq
+from smq import (
+    DuplicateScoreError,
+    InvalidInstanceError,
+    NegativeScoreError,
+    NonSquareError,
+    QuantInstance,
+)
+from smq.instances import Matrix
 
 
 def reference_blocking_pairs(instance, marriage, notion, alpha=None):
@@ -170,3 +178,40 @@ def reference_marriage_link(instance, marriage, mode):
     """Sum ('add') or maximum ('max') of `link_value` over the marriage's pairs."""
     values = (smq.link_value(instance, m, w, mode) for m, w in marriage.pairs())
     return sum(values) if mode == "add" else max(values)
+
+
+def reference_link_stable_gs(instance, mode):
+    """The link solver by its definition: linearize the per-pair reference
+    transform (ties by ascending candidate index) and run men-proposing
+    deferred acceptance."""
+    return smq.gs(smq.linearize_weak(reference_link_transform(instance, mode)), "men")
+
+
+def reference_validate(n, men_scores, women_scores):
+    """`smq.validate` for a positive `n`, with every row checked cell by cell."""
+    return QuantInstance(n, _checked_matrix("men", n, men_scores),
+                         _checked_matrix("women", n, women_scores))
+
+
+def _checked_matrix(side: str, n: int, rows) -> Matrix:
+    if not isinstance(rows, (list, tuple)) or len(rows) != n:
+        raise NonSquareError(f"{side} matrix must have {n} rows")
+    out = []
+    for person, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)) or len(row) != n:
+            raise NonSquareError(f"{side} row {person + 1} must have {n} entries")
+        seen: dict[int, int] = {}
+        for cand, value in enumerate(row):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidInstanceError(
+                    f"{side} row {person + 1}: score {value!r} is not an integer"
+                )
+            if value < 0:
+                raise NegativeScoreError(
+                    f"{side} row {person + 1}: score {value} is negative"
+                )
+            if value in seen:
+                raise DuplicateScoreError(side, person, seen[value], cand, value)
+            seen[value] = cand
+        out.append(tuple(row))
+    return tuple(out)

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import smq
 from smq.cli import GEN_MAX_N, main
-from conftest import P_A, P_B, P_C
+from conftest import P_A, P_B, P_C, instances
 
 
 @pytest.fixture
@@ -149,6 +153,16 @@ def test_deeply_nested_instance_exits_one(files, capsys):
     assert "invalid instance" in err
 
 
+def test_huge_integer_literal_exits_one(files, capsys):
+    # json.loads refuses integer literals over sys.get_int_max_str_digits()
+    huge = files["dir"] / "huge.json"
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    huge.write_text(f'{{"n":1,"men":[[{digits}]],"women":[[1]]}}')
+    code, out, err = run(capsys, "solve", "--notion", "link-add", "-i", str(huge))
+    assert code == 1 and out == ""
+    assert err.startswith("error: invalid instance: ")
+
+
 def test_usage_errors_exit_two(files, capsys):
     assert run(capsys, "solve", "--notion", "bogus", "-i", files["P_A"])[0] == 2
     assert run(capsys, "solve", "-i", files["P_A"])[0] == 2
@@ -267,3 +281,59 @@ def test_solve_output_always_passes_check(tmp_path, capsys, seed):
         code, _, _ = run(capsys, "check", *check_flags, "--marriage", marriage,
                          "-i", str(path))
         assert code == 0, (solve_flags, match)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=2),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_instance_files(draw):
+    """A valid instance (n <= 6) with one edit: a key dropped, a value, row or
+    cell replaced by any JSON value, or the text cut, spliced with bytes or
+    with a long digit run."""
+    inst = draw(instances(max_n=6, max_score=9))
+    doc = json.loads(smq.serialize_instance(inst))
+    edit = draw(st.sampled_from(["drop key", "value", "row", "cell", "cut", "splice", "digits"]))
+    key = draw(st.sampled_from(["n", "men", "women"]))
+    r, c = draw(st.integers(0, inst.n - 1)), draw(st.integers(0, inst.n - 1))
+    if edit == "drop key":
+        del doc[key]
+    elif edit == "value":
+        doc[key] = draw(JSON_VALUES)
+    elif edit == "row" and key != "n":
+        doc[key][r] = draw(JSON_VALUES)
+    elif edit == "cell" and key != "n":
+        doc[key][r][c] = draw(JSON_VALUES)
+    data = json.dumps(doc).encode()
+    at = draw(st.integers(0, len(data)))
+    if edit == "cut":
+        return data[:at]
+    if edit == "splice":
+        return data[:at] + draw(st.binary(max_size=8)) + data[at:]
+    if edit == "digits":
+        return data.replace(b"]]", b"," + b"9" * draw(st.integers(4000, 5000)) + b"]]", 1)
+    return data
+
+
+def _main_quietly(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@given(data=st.binary(max_size=200) | mutated_instance_files(),
+       marriage=st.lists(st.integers(-1, 6), max_size=7).map(lambda ws: ",".join(map(str, ws))),
+       check=st.sampled_from([["classical"], ["alpha", "--alpha", "2"], ["link-add"],
+                              ["link-max"]]))
+def test_hostile_instance_files_keep_the_exit_code_contract(tmp_path_factory, data, marriage,
+                                                           check):
+    path = tmp_path_factory.getbasetemp() / "hostile.json"
+    path.write_bytes(data)
+    for notion in ("link-add", "link-max", "male"):
+        assert _main_quietly(["solve", "--notion", notion, "-i", str(path)]) in range(5)
+    argv = ["check", "--notion", *check, "--marriage", marriage, "-i", str(path)]
+    assert _main_quietly(argv) in range(5)

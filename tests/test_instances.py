@@ -1,10 +1,67 @@
+import enum
 import json
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import smq
 from conftest import P_A, P_C, instances
+from references import reference_validate
+
+# int subclasses are valid scores: validate must accept them, not only plain ints
+Score = enum.IntEnum("Score", {f"s{v}": v for v in range(16)})
+
+FAULTS = ("bool", "float", "str", "none", "nested", "negative", "duplicate", "int subclass",
+          "short row", "long row", "not a row", "missing row", "extra row")
+
+
+@st.composite
+def matrices_with_a_fault(draw):
+    """(n, men, women): rows of distinct scores, with one fault injected at a
+    drawn side, row and column; the faulty row is a list or a tuple."""
+    n = draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, n + 9), min_size=n, max_size=n, unique=True)
+    sides = [[draw(row) for _ in range(n)] for _ in range(2)]
+    rows = sides[draw(st.integers(0, 1))]
+    r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    cells = rows[r]
+    fault = draw(st.sampled_from(FAULTS))
+    if fault == "missing row":
+        del rows[r]
+    elif fault == "extra row":
+        rows.append(draw(row))
+    elif fault == "not a row":
+        rows[r] = draw(st.sampled_from(["abc", None, 7, {"0": 1}]))
+    elif fault == "short row":
+        del cells[c]
+    elif fault == "long row":
+        cells.append(draw(st.integers(0, n + 9)))
+    else:
+        cells[c] = draw({
+            "bool": st.booleans(),
+            "float": st.sampled_from([0.0, 1.0, 2.5, float("nan")]),
+            "str": st.just(str(cells[c])),
+            "none": st.none(),
+            "nested": st.just([cells[c]]),
+            "negative": st.integers(-4, -1),
+            "duplicate": st.just(cells[c - 1]),
+            "int subclass": st.just(Score(cells[c])),
+        }[fault])
+    if r < len(rows) and rows[r] is cells and draw(st.booleans()):
+        rows[r] = tuple(cells)
+    return n, sides[0], sides[1]
+
+
+def _outcome(check, n, men, women):
+    try:
+        inst = check(n, men, women)
+    except smq.InvalidInstanceError as exc:
+        fields = tuple(getattr(exc, name, None)
+                       for name in ("side", "person", "first", "second", "value"))
+        return type(exc), str(exc), fields
+    cell_types = [[type(v) for v in row] for row in inst.men_scores + inst.women_scores]
+    return inst, cell_types
 
 
 def test_validate_accepts_the_two_couple_market():
@@ -54,6 +111,12 @@ def test_non_integer_score_rejected():
         smq.validate(1, [[1.5]], [[2]])
     with pytest.raises(smq.InvalidInstanceError):
         smq.validate(1, [[True]], [[2]])
+
+
+@given(matrices_with_a_fault())
+def test_validate_matches_the_per_cell_reference(case):
+    n, men, women = case
+    assert _outcome(smq.validate, n, men, women) == _outcome(reference_validate, n, men, women)
 
 
 def test_derive_classical_two_couple_market():

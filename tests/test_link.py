@@ -1,9 +1,14 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smq
 from conftest import P_A, P_C, instances, instances_with_marriage
-from references import reference_link_transform, reference_marriage_link
+from references import (
+    reference_link_stable_gs,
+    reference_link_transform,
+    reference_marriage_link,
+)
 
 # every pair has additive strength 3, so all marriages tie
 ALL_TIED = smq.QuantInstance(2, ((1, 2), (2, 1)), ((2, 1), (1, 2)))
@@ -113,3 +118,17 @@ def test_transform_and_strength_match_per_pair_reference(case):
         assert smq.marriage_link(inst, marriage, mode) == reference_marriage_link(
             inst, marriage, mode
         )
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    # scores from 0..n+3 leave each row at most four unused values, so equal
+    # pair strengths, and with them the index tie-break, are common
+    n = draw(st.integers(1, 8))
+    return draw(instances(min_n=n, max_n=n, max_score=n + 3))
+
+
+@given(tie_heavy_instances())
+def test_solver_matches_the_linearized_reference_under_ties(inst):
+    for mode in ("add", "max"):
+        assert smq.link_stable_gs(inst, mode) == reference_link_stable_gs(inst, mode)
