@@ -14,7 +14,7 @@ import heapq
 from dataclasses import dataclass
 
 from .gale_shapley import gs
-from .instances import Marriage, QuantInstance, StrictProfile
+from .instances import Marriage, QuantInstance, StrictProfile, _rank_row
 
 TotalOrder = tuple[int, ...]
 # A voting rule turns a ballot matrix (ballots[v][c] = voter v's score for
@@ -52,10 +52,6 @@ class SemiorderProfile:
         row = self._row(side, person)
         return row[a] - row[b] >= self.alpha
 
-    def incomparable(self, side: str, person: int, a: int, b: int) -> bool:
-        row = self._row(side, person)
-        return a != b and abs(row[a] - row[b]) < self.alpha
-
     def incomparable_pairs(self, side: str, person: int) -> list[tuple[int, int]]:
         """All unordered incomparable candidate pairs (a < b) on one list."""
         row = self._row(side, person)
@@ -88,8 +84,7 @@ def score_totals(ballots) -> list[int]:
 def score_sum_rule(ballots) -> TotalOrder:
     """Rank candidates by descending total received score; equal totals are
     broken by ascending candidate index."""
-    totals = score_totals(ballots)
-    return tuple(sorted(range(len(totals)), key=lambda c: (-totals[c], c)))
+    return _rank_row(score_totals(ballots))
 
 
 def popularity_orders(instance: QuantInstance, rule=score_sum_rule):
@@ -130,7 +125,7 @@ def linearize(
 
 
 def _sweep(row: tuple[int, ...], alpha: int, guide_rank: dict[int, int]) -> tuple[int, ...]:
-    by_score = sorted(range(len(row)), key=row.__getitem__, reverse=True)
+    by_score = _rank_row(row)
     emitted = [False] * len(row)
     heap: list[tuple[int, int]] = []
     top = entered = 0  # by_score[top] scores M; by_score[entered:] are not in the heap

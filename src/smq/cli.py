@@ -27,7 +27,7 @@ from .instances import (
     woman_name,
 )
 from .link import link_stable_gs, link_transform, marriage_link
-from .oracle import SizeBoundError, enumerate_stable
+from .oracle import DEFAULT_SIZE_BOUND, SizeBoundError, enumerate_stable
 from .stability import BlockingReport, blocking_pairs
 
 OK, INVALID_INSTANCE, USAGE, UNSTABLE, BAD_MARRIAGE = 0, 1, 2, 3, 4
@@ -55,8 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--notion", required=True,
                        choices=["male", "female", "lex-alpha", "link-add", "link-max"])
     solve.add_argument("--alpha", type=int, help="gap threshold; required iff --notion lex-alpha")
-    solve.add_argument("--rule", default="score-sum", choices=["score-sum"],
-                       help="voting rule for the popularity orders")
     solve.add_argument("-i", "--instance", required=True, help="instance JSON file")
     solve.add_argument("--pretty", action="store_true", help="also print a pairing table")
     solve.set_defaults(func=_cmd_solve)
@@ -75,8 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--notion", required=True,
                       choices=["classical", "alpha", "link-add", "link-max"])
     enum.add_argument("--alpha", type=int)
-    enum.add_argument("--size-bound", type=int, default=8,
-                      help="refuse instances larger than this (default 8)")
+    enum.add_argument("--size-bound", type=int, default=DEFAULT_SIZE_BOUND,
+                      help=f"refuse instances larger than this (default {DEFAULT_SIZE_BOUND})")
     enum.add_argument("--jobs", type=int, default=1,
                       help="worker processes; output is identical for any count")
     enum.add_argument("-i", "--instance", required=True)
@@ -123,8 +121,8 @@ def _load_instance(path: str) -> QuantInstance:
     try:
         return parse_instance(text)
     except ValueError as exc:
-        # InvalidInstanceError and json.JSONDecodeError, and also json.loads
-        # refusing an integer literal over the interpreter's digit limit
+        # InvalidInstanceError, including a literal over the digit limit,
+        # and json.JSONDecodeError
         raise _Fail(INVALID_INSTANCE, f"invalid instance: {exc}")
     except RecursionError:
         raise _Fail(INVALID_INSTANCE, "invalid instance: JSON nested too deeply")

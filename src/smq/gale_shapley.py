@@ -44,13 +44,8 @@ def gs(profile: StrictProfile, proposing_side: str = "men") -> Marriage:
     always proposes next. The outcome does not depend on that order; the
     fixed order just makes traces reproducible.
     """
-    if proposing_side == "men":
-        matching = _deferred_acceptance(profile.men_prefs, profile.women_prefs)
-        return Marriage(tuple(matching))
-    if proposing_side == "women":
-        matching = _deferred_acceptance(profile.women_prefs, profile.men_prefs)
-        return Marriage(Marriage(tuple(matching)).inverse())
-    raise ValueError(f"proposing_side must be 'men' or 'women', got {proposing_side!r}")
+    marriage = Marriage(tuple(_deferred_acceptance(*_sides(profile, proposing_side))))
+    return marriage if proposing_side == "men" else Marriage(marriage.inverse())
 
 
 def step_trace(profile: StrictProfile, proposing_side: str = "men") -> list[Proposal]:
@@ -59,14 +54,18 @@ def step_trace(profile: StrictProfile, proposing_side: str = "men") -> list[Prop
     The final engaged pairs equal the gs output, and the number of events is
     at most n*n (nobody proposes to the same person twice).
     """
-    if proposing_side not in ("men", "women"):
-        raise ValueError(f"proposing_side must be 'men' or 'women', got {proposing_side!r}")
     trace: list[Proposal] = []
-    if proposing_side == "men":
-        _deferred_acceptance(profile.men_prefs, profile.women_prefs, trace)
-    else:
-        _deferred_acceptance(profile.women_prefs, profile.men_prefs, trace)
+    _deferred_acceptance(*_sides(profile, proposing_side), trace)
     return trace
+
+
+def _sides(profile: StrictProfile, proposing_side: str):
+    """(proposer lists, receiver lists) for the proposing side."""
+    if proposing_side == "men":
+        return profile.men_prefs, profile.women_prefs
+    if proposing_side == "women":
+        return profile.women_prefs, profile.men_prefs
+    raise ValueError(f"proposing_side must be 'men' or 'women', got {proposing_side!r}")
 
 
 def _deferred_acceptance(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from dataclasses import dataclass
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -121,22 +122,6 @@ class WeakProfile:
     def n(self) -> int:
         return len(self.men_values)
 
-    def men_matrix(self) -> list[list[int]]:
-        """men_matrix()[i][j] = man i's derived value for woman j."""
-        return _matrix_from_pairs(self.men_values)
-
-    def women_matrix(self) -> list[list[int]]:
-        return _matrix_from_pairs(self.women_values)
-
-
-def _matrix_from_pairs(rows: tuple[PairList, ...]) -> list[list[int]]:
-    n = len(rows)
-    out = [[0] * n for _ in rows]
-    for i, row in enumerate(rows):
-        for cand, value in row:
-            out[i][cand] = value
-    return out
-
 
 def validate(n, men_scores, women_scores) -> QuantInstance:
     """Check candidate data against every invariant and build an instance.
@@ -196,6 +181,9 @@ def derive_classical(instance: QuantInstance) -> StrictProfile:
 
 
 def _rank_row(row: tuple[int, ...] | list[int]) -> tuple[int, ...]:
+    """Indices of the row by descending value, equal values by ascending
+    index: the one ranking rule every derived list follows. sorted() is
+    stable under reverse=True, so equal values keep their index order."""
     return tuple(sorted(range(len(row)), key=row.__getitem__, reverse=True))
 
 
@@ -213,11 +201,19 @@ def make_marriage(values) -> Marriage:
 def parse_instance(text: str) -> QuantInstance:
     """Parse the instance JSON format: {"n":..., "men":[[...]], "women":[[...]]}.
 
-    Raises json.JSONDecodeError on malformed JSON (a plain ValueError for an
-    integer literal over ``sys.get_int_max_str_digits()``), then the validate
-    errors.
+    Raises json.JSONDecodeError on malformed JSON, InvalidInstanceError for
+    an integer literal over ``sys.get_int_max_str_digits()`` digits, then the
+    validate errors.
     """
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # the only other ValueError json.loads raises: int() refusing a long literal
+        raise InvalidInstanceError(
+            f"an integer literal has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
     if not isinstance(data, dict):
         raise InvalidInstanceError("instance JSON must be an object")
     for key in ("n", "men", "women"):

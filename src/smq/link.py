@@ -48,7 +48,8 @@ def link_transform(instance: QuantInstance, mode: str) -> WeakProfile:
     rows are sorted by descending value, ascending candidate index.
     """
     values = _pair_values(instance, mode)
-    return WeakProfile(_ranked(values), _ranked(zip(*values)))
+    ranked = lambda rows: tuple(tuple((c, row[c]) for c in _rank_row(row)) for row in rows)
+    return WeakProfile(ranked(values), ranked(zip(*values)))
 
 
 def _pair_values(instance: QuantInstance, mode: str) -> list[list[int]]:
@@ -61,12 +62,6 @@ def _pair_values(instance: QuantInstance, mode: str) -> list[list[int]]:
     # the builtin max() per pair costs more than the comparison itself
     return [[a if a > b else b for a, b in zip(men_row, women_column)]
             for men_row, women_column in rows]
-
-
-def _ranked(rows) -> tuple:
-    # sorted() is stable under reverse=True, so equal values keep ascending index
-    by_value = operator.itemgetter(1)
-    return tuple(tuple(sorted(enumerate(row), key=by_value, reverse=True)) for row in rows)
 
 
 def has_ties(profile: WeakProfile) -> bool:

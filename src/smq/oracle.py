@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .alpha import SemiorderProfile, TotalOrder
 from .instances import Marriage, QuantInstance, WeakProfile
 from .link import marriage_link
-from .stability import _check_notion, dominates, is_stable, lex_key
+from .stability import _check_notion, _pair_values, dominates, is_stable, lex_key
 
 DEFAULT_SIZE_BOUND = 8
 
@@ -73,24 +73,6 @@ def _check_bound(n: int, size_bound: int) -> None:
         )
 
 
-def _pair_values(instance: QuantInstance, notion: str, alpha: int | None):
-    """(U, V, g) such that, under the notion, the pair (m, w) blocks a
-    marriage exactly when U[m][w] >= U[m][w'] + g and V[m][w] >= V[m'][w] + g,
-    where w' is m's partner and m' is w's. Scores are integers, so a strict
-    preference is a gain of at least 1."""
-    men = instance.men_scores
-    women = instance.women_scores
-    n = instance.n
-    if notion == "classical" or notion == "alpha":
-        by_man = [[women[w][m] for w in range(n)] for m in range(n)]
-        return men, by_man, 1 if notion == "classical" else alpha
-    if notion == "link-add":
-        strength = [[men[m][w] + women[w][m] for w in range(n)] for m in range(n)]
-    else:
-        strength = [[max(men[m][w], women[w][m]) for w in range(n)] for m in range(n)]
-    return strength, strength, 1
-
-
 def _scan(
     instance: QuantInstance, notion: str, alpha: int | None, first: int | None = None
 ) -> list[tuple[int, ...]]:
@@ -104,25 +86,26 @@ def _scan(
     it. Each complete match is then certified by `is_stable`, so a fault in
     the cut could only drop members, never admit one.
     """
-    U, V, g = _pair_values(instance, notion, alpha)
+    U, W, g = _pair_values(instance, notion, alpha)
     n = instance.n
     match = [0] * n
     man_needs = [0] * n  # man j's bound: U[j][match[j]] + g
-    woman_needs = [0] * n  # woman w's bound: V[her man][w] + g
+    woman_needs = [0] * n  # woman w's bound: W[w][her man] + g
     used = [False] * n
     out: list[tuple[int, ...]] = []
 
     def place(k: int) -> None:
-        u, v = U[k], V[k]
+        u = U[k]
         for w in range(n) if k or first is None else (first,):
             if used[w]:
                 continue
+            ww = W[w]
             k_needs = u[w] + g
-            w_needs = v[w] + g
+            w_needs = ww[k] + g
             for j in range(k):
                 wj = match[j]
-                if (u[wj] >= k_needs and v[wj] >= woman_needs[wj]) or (
-                    U[j][w] >= man_needs[j] and V[j][w] >= w_needs
+                if (u[wj] >= k_needs and W[wj][k] >= woman_needs[wj]) or (
+                    U[j][w] >= man_needs[j] and ww[j] >= w_needs
                 ):
                     break
             else:
@@ -278,10 +261,10 @@ def weakly_stable_set(
         men_prefers = lambda m, a, b: profile.strictly_prefers("men", m, a, b)
         women_prefers = lambda w, a, b: profile.strictly_prefers("women", w, a, b)
     else:
-        men_matrix = profile.men_matrix()
-        women_matrix = profile.women_matrix()
-        men_prefers = lambda m, a, b: men_matrix[m][a] > men_matrix[m][b]
-        women_prefers = lambda w, a, b: women_matrix[w][a] > women_matrix[w][b]
+        men_values = [dict(row) for row in profile.men_values]
+        women_values = [dict(row) for row in profile.women_values]
+        men_prefers = lambda m, a, b: men_values[m][a] > men_values[m][b]
+        women_prefers = lambda w, a, b: women_values[w][a] > women_values[w][b]
 
     out = []
     for perm in itertools.permutations(range(profile.n)):

@@ -157,6 +157,13 @@ def _greedy_extension(semiorder, side, person, guide_rank):
     return tuple(out)
 
 
+def reference_score_sum_rule(ballots):
+    """Candidates by descending column sum of the ballots, equal sums by
+    ascending index."""
+    totals = [sum(column) for column in zip(*ballots)]
+    return tuple(sorted(range(len(totals)), key=lambda c: (-totals[c], c)))
+
+
 def reference_link_transform(instance, mode):
     """Pair strengths by one `link_value` call per pair, each row sorted by
     descending value, ascending candidate index."""

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 import smq
 from conftest import P_A, P_B, alphas, instances
-from references import reference_linearize
+from references import reference_linearize, reference_score_sum_rule
 
 
 def test_transform_marks_small_gaps_incomparable():
     semi = smq.alpha_transform(P_B, 2)
-    assert semi.incomparable("men", 0, 0, 1)  # gap 3-2 stays below 2
+    assert (0, 1) in semi.incomparable_pairs("men", 0)  # gap 3-2 stays below 2
     assert semi.strictly_prefers("men", 1, 0, 1)  # 4-2
     assert semi.strictly_prefers("women", 0, 0, 1)  # 8-5
     assert semi.strictly_prefers("women", 1, 0, 1)  # 3-1
@@ -163,6 +163,19 @@ def test_score_sums_and_orders():
 
 def test_equal_totals_break_by_lower_index():
     assert smq.score_sum_rule(((1, 2), (2, 1))) == (0, 1)
+
+
+@st.composite
+def tied_ballots(draw):
+    """Square ballot matrices, n <= 8, scores 0..3, so totals often tie."""
+    n = draw(st.integers(1, 8))
+    row = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+@given(tied_ballots())
+def test_score_sum_rule_matches_the_reference_under_ties(ballots):
+    assert smq.score_sum_rule(ballots) == reference_score_sum_rule(ballots)
 
 
 @given(instances(), st.integers(0, 20), st.data())

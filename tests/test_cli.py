@@ -161,12 +161,16 @@ def test_huge_integer_literal_exits_one(files, capsys):
     code, out, err = run(capsys, "solve", "--notion", "link-add", "-i", str(huge))
     assert code == 1 and out == ""
     assert err.startswith("error: invalid instance: ")
+    assert "set_int_max_str_digits" not in err
 
 
 def test_usage_errors_exit_two(files, capsys):
     assert run(capsys, "solve", "--notion", "bogus", "-i", files["P_A"])[0] == 2
     assert run(capsys, "solve", "-i", files["P_A"])[0] == 2
     assert run(capsys)[0] == 2
+    # the voting rule is a library parameter only
+    assert run(capsys, "solve", "--notion", "lex-alpha", "--alpha", "2", "--rule", "score-sum",
+               "-i", files["P_B"])[0] == 2
 
 
 def test_enumerate_lists_both_marriages(files, capsys):
@@ -328,12 +332,16 @@ def _main_quietly(argv) -> int:
 @given(data=st.binary(max_size=200) | mutated_instance_files(),
        marriage=st.lists(st.integers(-1, 6), max_size=7).map(lambda ws: ",".join(map(str, ws))),
        check=st.sampled_from([["classical"], ["alpha", "--alpha", "2"], ["link-add"],
-                              ["link-max"]]))
+                              ["link-max"]]),
+       enum=st.sampled_from([["classical"], ["link-add"], ["alpha", "--alpha", "2"]]),
+       view=st.sampled_from([["--alpha", "2"], ["--link-add"], ["--link-max"]]))
 def test_hostile_instance_files_keep_the_exit_code_contract(tmp_path_factory, data, marriage,
-                                                           check):
+                                                           check, enum, view):
     path = tmp_path_factory.getbasetemp() / "hostile.json"
     path.write_bytes(data)
     for notion in ("link-add", "link-max", "male"):
         assert _main_quietly(["solve", "--notion", notion, "-i", str(path)]) in range(5)
     argv = ["check", "--notion", *check, "--marriage", marriage, "-i", str(path)]
     assert _main_quietly(argv) in range(5)
+    assert _main_quietly(["enumerate", "--notion", *enum, "-i", str(path)]) in range(5)
+    assert _main_quietly(["transform", *view, "-i", str(path)]) in range(5)

@@ -1,5 +1,6 @@
 import enum
 import json
+import sys
 
 import pytest
 from hypothesis import given
@@ -169,6 +170,13 @@ def test_serialize_is_canonical():
 def test_parse_rejects_bad_json():
     with pytest.raises(json.JSONDecodeError):
         smq.parse_instance("{nope")
+
+
+def test_parse_rejects_an_integer_literal_over_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    text = f'{{"n":1,"men":[[{"9" * (limit + 1)}]],"women":[[1]]}}'
+    with pytest.raises(smq.InvalidInstanceError, match=f"more than {limit} digits"):
+        smq.parse_instance(text)
 
 
 def test_parse_rejects_non_square():

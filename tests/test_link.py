@@ -38,15 +38,15 @@ def test_transform_values_and_order():
     profile = smq.link_transform(P_C, "add")
     assert profile.men_values == (((0, 35), (1, 13)), ((0, 10), (1, 5)))
     assert profile.women_values == (((0, 35), (1, 10)), ((0, 13), (1, 5)))
-    assert profile.men_matrix() == [[35, 13], [10, 5]]
+    assert [dict(row) for row in profile.men_values] == [{0: 35, 1: 13}, {0: 10, 1: 5}]
 
 
 @given(instances())
 def test_transform_is_symmetric_across_sides(inst):
     for mode in ("add", "max"):
         profile = smq.link_transform(inst, mode)
-        men = profile.men_matrix()
-        women = profile.women_matrix()
+        men = [dict(row) for row in profile.men_values]
+        women = [dict(row) for row in profile.women_values]
         for m in range(inst.n):
             for w in range(inst.n):
                 assert men[m][w] == women[w][m] == smq.link_value(inst, m, w, mode)
