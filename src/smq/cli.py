@@ -210,6 +210,8 @@ def _cmd_enumerate(args) -> int:
     alpha = _require_alpha(args, args.notion == "alpha", "--notion alpha")
     if args.jobs < 1:
         raise _Fail(USAGE, "--jobs must be >= 1")
+    if args.size_bound < 1:
+        raise _Fail(USAGE, "--size-bound must be >= 1")
     try:
         stable = enumerate_stable(instance, args.notion, alpha,
                                   size_bound=args.size_bound, jobs=args.jobs)

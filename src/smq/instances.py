@@ -12,6 +12,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -64,12 +65,18 @@ class QuantInstance:
     women_scores[i][j] is woman i's score for man j.
 
     Construct through :func:`validate` (or :func:`parse_instance`) unless the
-    data is known to satisfy the invariants already. Immutable and hashable.
+    data is known to satisfy the invariants already. Immutable and hashable:
+    derived link-strength tables are kept on the instance, so the scores must
+    never be mutated.
     """
 
     n: int
     men_scores: Matrix
     women_scores: Matrix
+
+    @cached_property
+    def _link_tables(self) -> dict:
+        return {}  # filled by link._pair_values only; fields alone decide ==, hash and repr
 
 
 @dataclass(frozen=True)

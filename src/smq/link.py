@@ -34,11 +34,9 @@ def link_value(instance: QuantInstance, man: int, woman: int, mode: str) -> int:
 def marriage_link(instance: QuantInstance, marriage: Marriage, mode: str) -> int:
     """Aggregate strength of a marriage: sum of pair strengths for 'add',
     maximum pair strength for 'max'."""
-    _check_mode(mode)
-    men, women = instance.men_scores, instance.women_scores
-    if mode == "add":
-        return sum(men[m][w] + women[w][m] for m, w in marriage.pairs())
-    return max(max(men[m][w], women[w][m]) for m, w in marriage.pairs())
+    values, _ = _pair_values(instance, mode)
+    strengths = map(list.__getitem__, values, marriage.partner_of_man)
+    return sum(strengths) if mode == "add" else max(strengths)
 
 
 def link_transform(instance: QuantInstance, mode: str) -> WeakProfile:
@@ -47,21 +45,29 @@ def link_transform(instance: QuantInstance, mode: str) -> WeakProfile:
     Both members of a pair carry the identical value, so ties are common;
     rows are sorted by descending value, ascending candidate index.
     """
-    values = _pair_values(instance, mode)
+    values, transpose = _pair_values(instance, mode)
     ranked = lambda rows: tuple(tuple((c, row[c]) for c in _rank_row(row)) for row in rows)
-    return WeakProfile(ranked(values), ranked(zip(*values)))
+    return WeakProfile(ranked(values), ranked(transpose))
 
 
-def _pair_values(instance: QuantInstance, mode: str) -> list[list[int]]:
-    """values[m][w] = strength of (m, w), with the mode checked once."""
+def _pair_values(instance: QuantInstance, mode: str) -> tuple[list[list[int]], list[tuple]]:
+    """(values, transpose): values[m][w] = transpose[w][m] = strength of
+    (m, w). Built once per instance and mode and kept on the instance; every
+    reader shares it, so none may mutate it."""
     _check_mode(mode)
-    # zip(*women_scores) yields the women's columns, one per man
-    rows = zip(instance.men_scores, zip(*instance.women_scores))
-    if mode == "add":
-        return [list(map(operator.add, men_row, women_column)) for men_row, women_column in rows]
-    # the builtin max() per pair costs more than the comparison itself
-    return [[a if a > b else b for a, b in zip(men_row, women_column)]
-            for men_row, women_column in rows]
+    tables = instance._link_tables
+    if mode not in tables:
+        # zip(*women_scores) yields the women's columns, one per man
+        rows = zip(instance.men_scores, zip(*instance.women_scores))
+        if mode == "add":
+            values = [list(map(operator.add, men_row, women_column))
+                      for men_row, women_column in rows]
+        else:
+            # the builtin max() per pair costs more than the comparison itself
+            values = [[a if a > b else b for a, b in zip(men_row, women_column)]
+                      for men_row, women_column in rows]
+        tables[mode] = values, list(zip(*values))
+    return tables[mode]
 
 
 def has_ties(profile: WeakProfile) -> bool:
@@ -95,6 +101,6 @@ def link_stable_gs(instance: QuantInstance, mode: str) -> Marriage:
     transformed profile has no ties it is additionally the unique link-stable
     marriage with the highest aggregate strength.
     """
-    values = _pair_values(instance, mode)
-    ranked = StrictProfile(tuple(map(_rank_row, values)), tuple(map(_rank_row, zip(*values))))
+    values, transpose = _pair_values(instance, mode)
+    ranked = StrictProfile(tuple(map(_rank_row, values)), tuple(map(_rank_row, transpose)))
     return gs(ranked, "men")

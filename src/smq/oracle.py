@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .alpha import SemiorderProfile, TotalOrder
 from .instances import Marriage, QuantInstance, WeakProfile
-from .link import marriage_link
+from .link import _check_mode, marriage_link
 from .stability import _check_notion, _pair_values, dominates, is_stable, lex_key
 
 DEFAULT_SIZE_BOUND = 8
@@ -219,6 +219,7 @@ def highest_link(
     size_bound: int = DEFAULT_SIZE_BOUND,
 ) -> list[Marriage]:
     """Link-stable marriages attaining the maximal aggregate strength."""
+    _check_mode(mode)
     stable = _stable_marriages(instance, f"link-{mode}", None, size_bound)
     strengths = [marriage_link(instance, m, mode) for m in stable]
     best = max(strengths)

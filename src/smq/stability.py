@@ -3,9 +3,10 @@ the lexicographic marriage order used by the popularity-guided solver.
 
 One table, :func:`_pair_values`, states the blocking rule of all four
 notions: classical stability is the score-gap test at gap 1, and the two
-link notions are the same test on pair strengths. One private scan,
-:func:`_blocks`, finds the blocking pairs: :func:`is_stable` stops it at
-the first one; :func:`blocking_pairs` runs it to the end and reads a
+link notions are the same test at gap 1 on the pair-strength table that
+:mod:`smq.link` keeps on the instance. One private scan, :func:`_blocks`,
+runs that test for every notion: :func:`is_stable` stops it at the first
+blocking pair; :func:`blocking_pairs` runs it to the end and reads a
 witness for each pair it reports from the table.
 """
 
@@ -68,73 +69,27 @@ def _pair_values(instance: QuantInstance, notion: str, alpha: int | None):
     matrix and its transpose for the link notions, with g = 1."""
     if notion == "classical" or notion == "alpha":
         return instance.men_scores, instance.women_scores, 1 if notion == "classical" else alpha
-    strength = link._pair_values(instance, notion.removeprefix("link-"))
-    return strength, list(zip(*strength)), 1
+    return (*link._pair_values(instance, notion.removeprefix("link-")), 1)
 
 
-def _blocks(
-    instance: QuantInstance,
-    marriage: Marriage,
-    notion: str,
-    alpha: int | None,
-    first_only: bool,
-) -> list[tuple[int, int]]:
-    """The blocking (man, woman) pairs in ascending order, or only the first.
+def _blocks(U, W, g: int, match: tuple[int, ...], first_only: bool) -> list[tuple[int, int]]:
+    """The pairs (m, w) that block the marriage `match` under the table
+    (U, W, g) of :func:`_pair_values`, in ascending order, or only the first.
 
-    Under every notion a pair blocks when its value for the man beats a
-    bound fixed by his current pairing and its value for the woman beats a
-    bound fixed by hers, so each bound is computed once per person. Partners
-    share one pair strength, so under the link notions both bounds come
-    from the same list of current strengths, indexed by woman.
+    A pair blocks when its value for the man reaches a bound fixed by his
+    current pairing and its value for the woman reaches a bound fixed by
+    hers, so each bound is computed once per person.
     """
-    men = instance.men_scores
-    women = instance.women_scores
-    match = marriage.partner_of_man
-    n = instance.n
+    n = len(U)
     found: list[tuple[int, int]] = []
-
-    if notion == "classical" or notion == "alpha":
-        U, W, g = _pair_values(instance, notion, alpha)
-        woman_needs = [0] * n
-        for m, w in enumerate(match):
-            woman_needs[w] = W[w][m] + g
-        for m in range(n):
-            row = U[m]
-            man_needs = row[match[m]] + g
-            for w in range(n):
-                if row[w] >= man_needs and W[w][m] >= woman_needs[w]:
-                    if first_only:
-                        return [(m, w)]
-                    found.append((m, w))
-        return found
-
-    # Strengths are combined inline: at n=300 building the strength table takes
-    # about as long as this whole scan, and a table-driven audit ran 20-40% slower.
-    current = [0] * n
-    if notion == "link-add":
-        for m, w in enumerate(match):
-            current[w] = men[m][w] + women[w][m]
-        for m in range(n):
-            row = men[m]
-            mine = current[match[m]]
-            for w in range(n):
-                new = row[w] + women[w][m]
-                if new > mine and new > current[w]:
-                    if first_only:
-                        return [(m, w)]
-                    found.append((m, w))
-        return found
-
+    woman_needs = [0] * n
     for m, w in enumerate(match):
-        a, b = men[m][w], women[w][m]
-        current[w] = a if a > b else b
+        woman_needs[w] = W[w][m] + g
     for m in range(n):
-        row = men[m]
-        mine = current[match[m]]
+        row = U[m]
+        man_needs = row[match[m]] + g
         for w in range(n):
-            a, b = row[w], women[w][m]
-            # max(a, b) > bound  <=>  a > bound or b > bound
-            if (a > mine or b > mine) and (a > current[w] or b > current[w]):
+            if row[w] >= man_needs and W[w][m] >= woman_needs[w]:
                 if first_only:
                     return [(m, w)]
                 found.append((m, w))
@@ -172,12 +127,12 @@ def blocking_pairs(
     reported in ascending (man, woman) order.
     """
     _check_notion(notion, alpha)
-    U, W, _ = _pair_values(instance, notion, alpha)
+    U, W, g = _pair_values(instance, notion, alpha)
     match = marriage.partner_of_man
     inverse = marriage.inverse()
     return BlockingReport(notion, alpha, tuple(
         BlockingPair(m, w, _witness(U, W, notion, m, w, match[m], inverse[w]))
-        for m, w in _blocks(instance, marriage, notion, alpha, False)
+        for m, w in _blocks(U, W, g, match, False)
     ))
 
 
@@ -189,7 +144,7 @@ def is_stable(
 ) -> bool:
     """Early-exit stability check; the same scan as :func:`blocking_pairs`."""
     _check_notion(notion, alpha)
-    return not _blocks(instance, marriage, notion, alpha, True)
+    return not _blocks(*_pair_values(instance, notion, alpha), marriage.partner_of_man, True)
 
 
 def dominates(instance: QuantInstance, first: Marriage, second: Marriage) -> bool:

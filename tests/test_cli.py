@@ -171,6 +171,10 @@ def test_usage_errors_exit_two(files, capsys):
     # the voting rule is a library parameter only
     assert run(capsys, "solve", "--notion", "lex-alpha", "--alpha", "2", "--rule", "score-sum",
                "-i", files["P_B"])[0] == 2
+    # a bound below 1 is a bad flag, not an instance too large for it
+    code, _, err = run(capsys, "enumerate", "--notion", "classical", "--size-bound", "0",
+                       "-i", files["P_A"])
+    assert code == 2 and "--size-bound must be >= 1" in err
 
 
 def test_enumerate_lists_both_marriages(files, capsys):

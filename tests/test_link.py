@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,8 +25,15 @@ def test_pair_strengths():
 
 
 def test_bad_mode_rejected():
-    with pytest.raises(ValueError):
-        smq.link_value(P_C, 0, 0, "product")
+    for call in (
+        lambda mode: smq.link_value(P_C, 0, 0, mode),
+        lambda mode: smq.marriage_link(P_C, smq.Marriage((0, 1)), mode),
+        lambda mode: smq.link_transform(P_C, mode),
+        lambda mode: smq.link_stable_gs(P_C, mode),
+        lambda mode: smq.highest_link(P_C, mode),
+    ):
+        with pytest.raises(ValueError, match="mode must be 'add' or 'max', got 'foo'"):
+            call("foo")
 
 
 def test_marriage_strength():
@@ -132,3 +141,41 @@ def tie_heavy_instances(draw):
 def test_solver_matches_the_linearized_reference_under_ties(inst):
     for mode in ("add", "max"):
         assert smq.link_stable_gs(inst, mode) == reference_link_stable_gs(inst, mode)
+
+
+# The public calls that read the kept strength table, by name so that a
+# failing call order reads plainly.
+TABLE_READERS = {
+    "link_stable_gs": lambda q, marriage, mode: smq.link_stable_gs(q, mode),
+    "link_transform": lambda q, marriage, mode: smq.link_transform(q, mode),
+    "marriage_link": lambda q, marriage, mode: smq.marriage_link(q, marriage, mode),
+    "blocking_pairs": lambda q, marriage, mode: smq.blocking_pairs(q, marriage, f"link-{mode}"),
+    "is_stable": lambda q, marriage, mode: smq.is_stable(q, marriage, f"link-{mode}"),
+}
+
+
+@given(instances_with_marriage(max_n=6), st.data())
+def test_kept_tables_answer_as_a_fresh_instance_does(case, data):
+    inst, marriage = case
+    calls = data.draw(st.permutations([(name, mode) for name in TABLE_READERS
+                                       for mode in ("add", "max")]))
+    for name, mode in calls:
+        fresh = smq.QuantInstance(inst.n, inst.men_scores, inst.women_scores)
+        read = TABLE_READERS[name]
+        assert read(inst, marriage, mode) == read(fresh, marriage, mode), (name, mode)
+
+
+def test_kept_tables_leave_identity_alone():
+    inst = smq.random_instance(5, seed=3)
+    identity = (hash(inst), repr(inst))
+    for mode in ("add", "max"):
+        smq.link_stable_gs(inst, mode)
+    fresh = smq.QuantInstance(inst.n, inst.men_scores, inst.women_scores)
+    assert inst == fresh and (hash(inst), repr(inst)) == identity
+    clone = pickle.loads(pickle.dumps(inst))
+    assert clone == fresh and (hash(clone), repr(clone)) == identity
+    for mode in ("add", "max"):
+        assert smq.link_transform(clone, mode) == smq.link_transform(fresh, mode)
+        # worker processes receive the instance pickled, tables and all
+        assert (smq.enumerate_stable(inst, f"link-{mode}", jobs=2)
+                == smq.enumerate_stable(fresh, f"link-{mode}"))
