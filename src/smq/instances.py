@@ -11,8 +11,7 @@ from __future__ import annotations
 import json
 import random
 import sys
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -66,17 +65,31 @@ class QuantInstance:
 
     Construct through :func:`validate` (or :func:`parse_instance`) unless the
     data is known to satisfy the invariants already. Immutable and hashable:
-    derived link-strength tables are kept on the instance, so the scores must
-    never be mutated.
+    derived results are kept on the instance, so the scores must never be
+    mutated.
+
+    `_kept` is the one memo of derived results. `link._pair_values` fills
+    ``_kept["link"][mode]`` with the strength table and its transpose;
+    `oracle._stable_marriages` fills ``_kept["search"][notion]`` with
+    ``(alpha, marriages)``, the last search of that notion, so an instance
+    keeps at most two tables and four searches. `n`, `men_scores` and
+    `women_scores` alone decide ``==``, ``hash``, ``repr`` and pickling: a
+    pickled instance carries no kept results.
     """
 
     n: int
     men_scores: Matrix
     women_scores: Matrix
 
-    @cached_property
-    def _link_tables(self) -> dict:
-        return {}  # filled by link._pair_values only; fields alone decide ==, hash and repr
+    # A field, not a cached_property: the property would write through
+    # __dict__, and a materialized __dict__ makes every attribute load of the
+    # instance slower (about 4x on CPython 3.11). One section
+    # per filler; str keys hash once, where tuple keys rehash on every lookup.
+    _kept: dict = field(default_factory=lambda: {"link": {}, "search": {}},
+                        init=False, repr=False, compare=False)
+
+    def __reduce__(self):
+        return QuantInstance, (self.n, self.men_scores, self.women_scores)
 
 
 @dataclass(frozen=True)
@@ -203,6 +216,13 @@ def make_marriage(values) -> Marriage:
     if sorted(match) != list(range(len(match))) or not match:
         raise ValueError(f"{list(match)} is not a permutation of 0..{max(len(match) - 1, 0)}")
     return Marriage(match)
+
+
+def _misfit(instance: QuantInstance, marriage: Marriage) -> ValueError:
+    """The error for a marriage whose size is not the instance's; callers
+    compare the sizes themselves, once, and raise this on a mismatch."""
+    return ValueError(f"a marriage of size {len(marriage.partner_of_man)} does not fit "
+                      f"an instance of size {instance.n}")
 
 
 def parse_instance(text: str) -> QuantInstance:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 
 from .gale_shapley import gs
-from .instances import Marriage, QuantInstance, StrictProfile, WeakProfile, _rank_row
+from .instances import Marriage, QuantInstance, StrictProfile, WeakProfile, _misfit, _rank_row
 
 MODES = ("add", "max")
 
@@ -33,9 +33,13 @@ def link_value(instance: QuantInstance, man: int, woman: int, mode: str) -> int:
 
 def marriage_link(instance: QuantInstance, marriage: Marriage, mode: str) -> int:
     """Aggregate strength of a marriage: sum of pair strengths for 'add',
-    maximum pair strength for 'max'."""
+    maximum pair strength for 'max'. Raises ValueError unless the marriage
+    has the instance's size."""
+    match = marriage.partner_of_man
+    if len(match) != instance.n:
+        raise _misfit(instance, marriage)
     values, _ = _pair_values(instance, mode)
-    strengths = map(list.__getitem__, values, marriage.partner_of_man)
+    strengths = map(list.__getitem__, values, match)
     return sum(strengths) if mode == "add" else max(strengths)
 
 
@@ -55,7 +59,7 @@ def _pair_values(instance: QuantInstance, mode: str) -> tuple[list[list[int]], l
     (m, w). Built once per instance and mode and kept on the instance; every
     reader shares it, so none may mutate it."""
     _check_mode(mode)
-    tables = instance._link_tables
+    tables = instance._kept["link"]
     if mode not in tables:
         # zip(*women_scores) yields the women's columns, one per man
         rows = zip(instance.men_scores, zip(*instance.women_scores))

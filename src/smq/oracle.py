@@ -8,6 +8,10 @@ silently sampling. It exists to certify the solvers: exact stable sets per
 notion, dominance-free subsets, lexicographic optima, highest-strength
 marriages, and the weak-stability dual filters used to cross-check set
 equalities.
+
+Each instance keeps its last search per notion, so `enumerate_stable`,
+`lex_optimum`, `highest_link` and `feasible_partners` on one instance share
+one search per notion (and alpha) instead of each running its own.
 """
 
 from __future__ import annotations
@@ -129,9 +133,19 @@ def _stable_marriages(
     instance: QuantInstance, notion: str, alpha: int | None, size_bound: int, jobs: int = 1
 ) -> list[Marriage]:
     """The stable set in lexicographic match order, without annotations.
-    With jobs > 1 the parts, one per partner of man 0, come back in order."""
+    With jobs > 1 the parts, one per partner of man 0, come back in order.
+
+    The result is kept on the instance per notion, with its alpha: a later
+    call for the same notion and alpha returns a new list of the same
+    certified members without searching, and a call at another alpha
+    searches and replaces it. The job count is not part of the key, since
+    the result is identical for any count. Both checks run on every call."""
     _check_bound(instance.n, size_bound)
     _check_notion(notion, alpha)
+    searches = instance._kept["search"]
+    kept = searches.get(notion)
+    if kept is not None and kept[0] == alpha:
+        return list(kept[1])
     if jobs > 1 and instance.n > 1:
         # Imported here: it costs a sizeable share of `import smq`.
         from concurrent.futures import ProcessPoolExecutor
@@ -147,7 +161,9 @@ def _stable_marriages(
             matches = [m for part in parts for m in part]
     else:
         matches = _scan(instance, notion, alpha)
-    return [Marriage(m) for m in matches]
+    stable = tuple(map(Marriage, matches))
+    searches[notion] = alpha, stable
+    return list(stable)
 
 
 def enumerate_stable(
@@ -177,8 +193,15 @@ def enumerate_stable(
     flags = [False] * len(stable)
     skyline: list[Marriage] = []
     for i in sorted(range(len(stable)), key=sums.__getitem__, reverse=True):
-        if not any(dominates(instance, top, stable[i]) for top in skyline):
-            skyline.append(stable[i])
+        member = stable[i]
+        # a loop, not any() over a generator: a dense set makes tens of
+        # thousands of these tests, and each generator step costs about as
+        # much as the test itself
+        for top in skyline:
+            if dominates(instance, top, member):
+                break
+        else:
+            skyline.append(member)
             flags[i] = True
     entries = tuple(
         StableEntry(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import link
-from .instances import Marriage, QuantInstance
+from .instances import Marriage, QuantInstance, _misfit
 
 NOTIONS = ("classical", "alpha", "link-add", "link-max")
 
@@ -124,11 +124,14 @@ def blocking_pairs(
     the two scores) exceeds the strength of both current pairings.
 
     Witness values record the numbers certifying each violation. Pairs are
-    reported in ascending (man, woman) order.
+    reported in ascending (man, woman) order. Raises ValueError unless the
+    marriage has the instance's size.
     """
     _check_notion(notion, alpha)
-    U, W, g = _pair_values(instance, notion, alpha)
     match = marriage.partner_of_man
+    if len(match) != instance.n:
+        raise _misfit(instance, marriage)
+    U, W, g = _pair_values(instance, notion, alpha)
     inverse = marriage.inverse()
     return BlockingReport(notion, alpha, tuple(
         BlockingPair(m, w, _witness(U, W, notion, m, w, match[m], inverse[w]))
@@ -142,20 +145,28 @@ def is_stable(
     notion: str,
     alpha: int | None = None,
 ) -> bool:
-    """Early-exit stability check; the same scan as :func:`blocking_pairs`."""
+    """Early-exit stability check; the same scan and checks as
+    :func:`blocking_pairs`."""
     _check_notion(notion, alpha)
-    return not _blocks(*_pair_values(instance, notion, alpha), marriage.partner_of_man, True)
+    match = marriage.partner_of_man
+    if len(match) != instance.n:
+        raise _misfit(instance, marriage)
+    return not _blocks(*_pair_values(instance, notion, alpha), match, True)
 
 
 def dominates(instance: QuantInstance, first: Marriage, second: Marriage) -> bool:
     """True iff every man weakly prefers his partner in `first` over his
     partner in `second` (by his own scores) and at least one strictly does.
-    Irreflexive: a marriage never dominates itself.
+    Irreflexive: a marriage never dominates itself. Raises ValueError
+    unless both marriages have the instance's size.
     """
+    first_match, second_match = first.partner_of_man, second.partner_of_man
+    if not len(first_match) == len(second_match) == instance.n:
+        raise _misfit(instance, second if len(first_match) == instance.n else first)
     strict = False
     for m, row in enumerate(instance.men_scores):
-        a = row[first.partner_of_man[m]]
-        b = row[second.partner_of_man[m]]
+        a = row[first_match[m]]
+        b = row[second_match[m]]
         if a < b:
             return False
         if a > b:

@@ -349,3 +349,72 @@ def test_hostile_instance_files_keep_the_exit_code_contract(tmp_path_factory, da
     assert _main_quietly(argv) in range(5)
     assert _main_quietly(["enumerate", "--notion", *enum, "-i", str(path)]) in range(5)
     assert _main_quietly(["transform", *view, "-i", str(path)]) in range(5)
+
+
+# Mostly usable values, so that the draws reach past argument parsing.
+NUMBERS = (st.integers(1, 4) | st.integers(-3, 6)).map(str) | st.sampled_from(
+    ["1.5", "x", "", str(10**20)])
+REQUIRED = {"--notion", "--marriage", "-i", "--n", "--seed"}
+INSTANCE_PATHS = st.sampled_from(["<instance>", "<missing>"])
+# Per subcommand, each flag with the values drawn for it (None: takes no value).
+# --jobs stays within {-1, 0, 1} so that no worker process is started, and no
+# `gen --n` that is accepted exceeds 50.
+ARGV_FLAGS = {
+    "solve": {
+        "--notion": st.sampled_from(["male", "female", "lex-alpha", "link-add", "link-max",
+                                     "alpha"]),
+        "--alpha": NUMBERS, "-i": INSTANCE_PATHS, "--pretty": None,
+    },
+    "check": {
+        "--notion": st.sampled_from(["classical", "alpha", "link-add", "link-max", "male"]),
+        "--alpha": NUMBERS, "-i": INSTANCE_PATHS, "--pretty": None,
+        "--marriage": st.lists(st.integers(-1, 4), max_size=5).map(
+            lambda ws: ",".join(map(str, ws))) | st.sampled_from(["x", "1,,0"]),
+    },
+    "enumerate": {
+        "--notion": st.sampled_from(["classical", "alpha", "link-add", "link-max", "male"]),
+        "--alpha": NUMBERS, "--size-bound": NUMBERS, "-i": INSTANCE_PATHS, "--pretty": None,
+        "--jobs": st.sampled_from(["-1", "0", "1"]),
+    },
+    "transform": {"--alpha": NUMBERS, "--link-add": None, "--link-max": None,
+                  "-i": INSTANCE_PATHS},
+    "gen": {
+        "--n": st.integers(-2, 50).map(str) | st.sampled_from(["2001", str(10**9), "x"]),
+        "--seed": NUMBERS,
+        "--max-score": st.integers(-2, 60).map(str) | st.sampled_from(
+            [str(10**20), str(sys.maxsize), "x"]),
+    },
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand and a shuffled pick of its flags with drawn values, at
+    times with a stray token among them."""
+    command = draw(st.sampled_from(sorted(ARGV_FLAGS)))
+    flags = ARGV_FLAGS[command]
+    chosen = [f for f in sorted(flags)
+              if draw(st.integers(0, 9)) < (9 if f in REQUIRED else 4)]
+    argv = [command]
+    for flag in draw(st.permutations(chosen)):
+        argv.append(flag)
+        if flags[flag] is not None:
+            argv.append(draw(flags[flag]))
+    if draw(st.integers(0, 4)) == 0:
+        stray = draw(st.sampled_from(["--bogus", "7", "-i", "--help", "--alpha"]))
+        argv.insert(draw(st.integers(0, len(argv))), stray)
+    return argv
+
+
+@given(inst=instances(max_n=4), argv=cli_argvs())
+def test_any_argv_keeps_the_exit_code_contract(tmp_path_factory, inst, argv):
+    base = tmp_path_factory.getbasetemp()
+    instance = base / "argv-instance.json"
+    instance.write_text(smq.serialize_instance(inst))
+    paths = {"<instance>": str(instance), "<missing>": str(base / "argv-missing.json")}
+    argv = [paths.get(token, token) for token in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in range(5), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -176,6 +176,7 @@ def test_kept_tables_leave_identity_alone():
     assert clone == fresh and (hash(clone), repr(clone)) == identity
     for mode in ("add", "max"):
         assert smq.link_transform(clone, mode) == smq.link_transform(fresh, mode)
-        # worker processes receive the instance pickled, tables and all
+        # worker processes receive the instance pickled without its kept
+        # tables, and build their own
         assert (smq.enumerate_stable(inst, f"link-{mode}", jobs=2)
                 == smq.enumerate_stable(fresh, f"link-{mode}"))

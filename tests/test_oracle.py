@@ -1,3 +1,4 @@
+import pickle
 import time
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smq
+from smq.oracle import DEFAULT_SIZE_BOUND, _stable_marriages
 from conftest import M1, M2, P_A, P_B, P_C, alphas, instances
 from references import reference_enumerate_stable
 from test_link import ALL_TIED
@@ -49,9 +51,9 @@ def test_size_bound_is_enforced():
 
 def test_worker_partitioning_is_deterministic():
     for seed in (3, 4):
-        inst = smq.random_instance(5, seed=seed)
-        sequential = smq.enumerate_stable(inst, "classical")
-        parallel = smq.enumerate_stable(inst, "classical", jobs=2)
+        sequential = smq.enumerate_stable(smq.random_instance(5, seed=seed), "classical")
+        # an equal, fresh instance: the first one would answer from its kept search
+        parallel = smq.enumerate_stable(smq.random_instance(5, seed=seed), "classical", jobs=2)
         assert sequential == parallel
     dense = smq.random_instance(6, seed=2, max_score=6)
     expected = reference_enumerate_stable(dense, "alpha", 2)
@@ -162,3 +164,70 @@ def test_stable_sets_are_never_empty(inst, alpha):
     assert smq.enumerate_stable(inst, "alpha", alpha).entries
     assert smq.enumerate_stable(inst, "link-add").entries
     assert smq.enumerate_stable(inst, "link-max").entries
+
+
+# The oracle's entry points, each reading the instance's kept search of one
+# notion; `a` is the call's alpha, ignored by the link calls.
+QUERIES = {
+    "enumerate classical": lambda q, a: smq.enumerate_stable(q, "classical"),
+    "enumerate alpha": lambda q, a: smq.enumerate_stable(q, "alpha", a),
+    "enumerate link-add": lambda q, a: smq.enumerate_stable(q, "link-add"),
+    "enumerate link-max": lambda q, a: smq.enumerate_stable(q, "link-max"),
+    "lex_optimum": lambda q, a: smq.lex_optimum(q, a, *smq.popularity_orders(q)),
+    "highest_link add": lambda q, a: smq.highest_link(q, "add"),
+    "highest_link max": lambda q, a: smq.highest_link(q, "max"),
+    "feasible_partners": lambda q, a: smq.feasible_partners(q, a),
+}
+
+
+@given(instances(max_n=5, max_score=8), st.data())
+def test_kept_searches_answer_as_a_fresh_instance_does(inst, data):
+    calls = data.draw(st.lists(st.tuples(st.sampled_from(sorted(QUERIES)), st.integers(1, 3)),
+                               min_size=1, max_size=12))
+    for name, alpha in calls:
+        fresh = smq.QuantInstance(inst.n, inst.men_scores, inst.women_scores)
+        query = QUERIES[name]
+        assert query(inst, alpha) == query(fresh, alpha), (name, alpha)
+
+
+def test_kept_searches_still_refuse_above_the_bound():
+    inst = smq.random_instance(5, seed=1)
+    for query in QUERIES.values():
+        query(inst, 2)  # every notion's search is now kept
+    bounded = [
+        lambda: smq.enumerate_stable(inst, "classical", size_bound=4),
+        lambda: smq.enumerate_stable(inst, "alpha", 2, size_bound=4),
+        lambda: smq.enumerate_stable(inst, "link-add", size_bound=4),
+        lambda: smq.lex_optimum(inst, 2, *smq.popularity_orders(inst), size_bound=4),
+        lambda: smq.highest_link(inst, "max", size_bound=4),
+        lambda: smq.feasible_partners(inst, 2, size_bound=4),
+    ]
+    for call in bounded:
+        with pytest.raises(smq.SizeBoundError):
+            call()
+
+
+def test_returned_lists_are_the_callers_own():
+    inst = smq.random_instance(4, seed=2, max_score=5)
+    # the private search is read here because no public entry point hands
+    # out its list: each builds its own answer from it
+    first = _stable_marriages(inst, "alpha", 2, DEFAULT_SIZE_BOUND)
+    expected = list(first)
+    first.clear()
+    assert _stable_marriages(inst, "alpha", 2, DEFAULT_SIZE_BOUND) == expected
+    best = smq.highest_link(inst, "add")
+    expected = list(best)
+    best.append(smq.Marriage((0, 1, 2, 3)))
+    assert smq.highest_link(inst, "add") == expected
+
+
+def test_kept_results_never_travel():
+    inst = smq.random_instance(5, seed=3)
+    size = len(pickle.dumps(inst))
+    for mode in ("add", "max"):
+        smq.link_stable_gs(inst, mode)
+    for notion, alpha in (("classical", None), ("alpha", 2), ("link-add", None),
+                          ("link-max", None)):
+        smq.enumerate_stable(inst, notion, alpha)
+    assert len(pickle.dumps(inst)) == size
+    assert pickle.loads(pickle.dumps(inst)) == inst

@@ -119,3 +119,23 @@ def test_lex_key_order_is_total_and_transitive(n, data):
     a, b, c = keys
     if a < b and b < c:
         assert a < c
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_a_marriage_of_another_size_is_refused(size):
+    inst = smq.random_instance(3, seed=1)
+    misfit = smq.Marriage(tuple(range(size)))
+    fits = smq.Marriage((0, 1, 2))
+    calls = [
+        lambda: smq.is_stable(inst, misfit, "classical"),
+        lambda: smq.is_stable(inst, misfit, "link-add"),
+        lambda: smq.blocking_pairs(inst, misfit, "alpha", 2),
+        lambda: smq.blocking_pairs(inst, misfit, "link-max"),
+        lambda: smq.marriage_link(inst, misfit, "add"),
+        lambda: smq.marriage_link(inst, misfit, "max"),
+        lambda: smq.dominates(inst, misfit, fits),
+        lambda: smq.dominates(inst, fits, misfit),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"size {size} .* size 3"):
+            call()
