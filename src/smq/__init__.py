@@ -8,7 +8,8 @@ Three stability families are supported on the same instance type:
 * link stability, where pairs are judged by their combined strength
   (sum or max of the two scores).
 
-Solvers reduce everything to deferred acceptance on a strict profile; the
+Solvers reduce everything to deferred acceptance, on the scores or pair
+strengths themselves or on a strict profile; the
 :mod:`smq.oracle` module certifies them by exhaustive enumeration at small
 sizes.
 """
@@ -30,6 +31,7 @@ from .instances import (
     NegativeScoreError,
     NonSquareError,
     QuantInstance,
+    ScoredProfile,
     StrictProfile,
     WeakProfile,
     ZeroSizeError,
@@ -81,6 +83,7 @@ __all__ = [
     "NonSquareError",
     "Proposal",
     "QuantInstance",
+    "ScoredProfile",
     "SemiorderProfile",
     "SizeBoundError",
     "StableEntry",

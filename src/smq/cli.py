@@ -17,6 +17,7 @@ from .gale_shapley import gs
 from .instances import (
     Marriage,
     QuantInstance,
+    ScoredProfile,
     derive_classical,
     make_marriage,
     man_name,
@@ -162,9 +163,9 @@ def _cmd_solve(args) -> int:
     instance = _load_instance(args.instance)
     alpha = _require_alpha(args, args.notion == "lex-alpha", "--notion lex-alpha")
     if args.notion == "male":
-        marriage = gs(derive_classical(instance), "men")
+        marriage = gs(ScoredProfile(instance.men_scores, instance.women_scores), "men")
     elif args.notion == "female":
-        marriage = gs(derive_classical(instance), "women")
+        marriage = gs(ScoredProfile(instance.men_scores, instance.women_scores), "women")
     elif args.notion == "lex-alpha":
         marriage = lex_male_alpha_gs(instance, alpha)
     else:

@@ -1,8 +1,9 @@
-"""Deferred acceptance on strict preference profiles.
+"""Deferred acceptance on strict preference lists or on scores.
 
-This is the engine behind every solver in the package: the score-gap and
-link solvers all reduce their problem to a strict profile and run it
-through :func:`gs`.
+This is the engine behind every solver in the package. The classical and
+link solvers hand :func:`gs` the values they already hold, as a
+:class:`ScoredProfile`; the gap-threshold solver reduces its problem to a
+:class:`StrictProfile`. Either way, one loop does the proposing.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .instances import Marriage, StrictProfile
+from .instances import Marriage, ScoredProfile, StrictProfile, _rank_row
 
 
 @dataclass(frozen=True)
@@ -29,9 +30,15 @@ class Proposal:
     displaced: int | None = None
 
 
-def gs(profile: StrictProfile, proposing_side: str = "men") -> Marriage:
+def gs(profile: StrictProfile | ScoredProfile, proposing_side: str = "men") -> Marriage:
     """Run deferred acceptance and return the stable marriage that is
     optimal for the proposing side.
+
+    The profile is either strict lists or a :class:`ScoredProfile`, where
+    higher values are preferred and equal values go to the lower index, the
+    order :func:`derive_classical` and ``linearize_weak`` would list. The
+    receivers of a ``ScoredProfile`` compare values as they stand; only the
+    proposers' rows are ranked.
 
     Every proposer starts free and proposes down his list; a proposee keeps
     the best proposer seen so far and releases the other. With men proposing
@@ -48,8 +55,11 @@ def gs(profile: StrictProfile, proposing_side: str = "men") -> Marriage:
     return marriage if proposing_side == "men" else Marriage(marriage.inverse())
 
 
-def step_trace(profile: StrictProfile, proposing_side: str = "men") -> list[Proposal]:
-    """Full proposal history of :func:`gs`, in execution order.
+def step_trace(profile: StrictProfile | ScoredProfile,
+               proposing_side: str = "men") -> list[Proposal]:
+    """Full proposal history of :func:`gs`, in execution order. A
+    ``ScoredProfile`` yields the same events as the strict profile that
+    lists its values best first, equal values by ascending index.
 
     The final engaged pairs equal the gs output, and the number of events is
     at most n*n (nobody proposes to the same person twice).
@@ -59,31 +69,41 @@ def step_trace(profile: StrictProfile, proposing_side: str = "men") -> list[Prop
     return trace
 
 
-def _sides(profile: StrictProfile, proposing_side: str):
-    """(proposer lists, receiver lists) for the proposing side."""
+def _sides(profile: StrictProfile | ScoredProfile, proposing_side: str):
+    """(proposer lists, receiver value rows) for the proposing side."""
+    scored = isinstance(profile, ScoredProfile)
+    men, women = ((profile.men_scores, profile.women_scores) if scored
+                  else (profile.men_prefs, profile.women_prefs))
     if proposing_side == "men":
-        return profile.men_prefs, profile.women_prefs
-    if proposing_side == "women":
-        return profile.women_prefs, profile.men_prefs
-    raise ValueError(f"proposing_side must be 'men' or 'women', got {proposing_side!r}")
+        proposers, receivers = men, women
+    elif proposing_side == "women":
+        proposers, receivers = women, men
+    else:
+        raise ValueError(f"proposing_side must be 'men' or 'women', got {proposing_side!r}")
+    if scored:
+        return tuple(map(_rank_row, proposers)), receivers
+    # a strict list as values: row[q] = n - 1 - position of q, higher preferred
+    values = []
+    for prefs in receivers:
+        row = [0] * len(prefs)
+        for v, q in enumerate(reversed(prefs)):
+            row[q] = v
+        values.append(row)
+    return proposers, values
 
 
 def _deferred_acceptance(
     proposer_prefs,
-    receiver_prefs,
+    receiver_values,
     trace: list[Proposal] | None = None,
 ) -> list[int]:
     """Core loop; returns matching[p] = receiver engaged to proposer p.
 
-    Free proposers wait in a heap, so the lowest index proposes next.
+    Receiver r prefers proposer p over her fiance c when
+    ``receiver_values[r][p]`` is higher, or equal with p < c. Free proposers
+    wait in a heap, so the lowest index proposes next.
     """
     n = len(proposer_prefs)
-    # rank[r][p] = position of proposer p in receiver r's list (0 = best)
-    rank = [[0] * n for _ in range(n)]
-    for r, prefs in enumerate(receiver_prefs):
-        for pos, p in enumerate(prefs):
-            rank[r][p] = pos
-
     next_choice = [0] * n
     fiance: list[int | None] = [None] * n
     free = list(range(n))  # ascending, hence already a heap
@@ -97,7 +117,8 @@ def _deferred_acceptance(
             fiance[r] = p
             if trace is not None:
                 trace.append(Proposal(p, r, "engaged"))
-        elif rank[r][p] < rank[r][current]:
+        elif ((values := receiver_values[r])[p] > values[current]
+              or values[p] == values[current] and p < current):
             fiance[r] = p
             heapq.heappush(free, current)
             if trace is not None:

@@ -106,6 +106,17 @@ class StrictProfile:
 
 
 @dataclass(frozen=True)
+class ScoredProfile:
+    """Preferences as values: men_scores[i][j] is man i's value for woman j,
+    women_scores[i][j] woman i's value for man j. Higher is preferred, and
+    equal values go to the lower index: the order :func:`derive_classical`
+    lists. Deferred acceptance reads the receivers' rows as they stand."""
+
+    men_scores: Matrix
+    women_scores: Matrix
+
+
+@dataclass(frozen=True)
 class Marriage:
     """A perfect matching; partner_of_man[i] is the woman married to man i."""
 
@@ -213,7 +224,9 @@ def make_marriage(values) -> Marriage:
     Raises ValueError if the sequence is not a permutation of 0..n-1.
     """
     match = tuple(values)
-    if sorted(match) != list(range(len(match))) or not match:
+    # exact int type, checked in C: bool and float entries compare equal to
+    # indices but are not indices
+    if not match or set(map(type, match)) != {int} or sorted(match) != list(range(len(match))):
         raise ValueError(f"{list(match)} is not a permutation of 0..{max(len(match) - 1, 0)}")
     return Marriage(match)
 

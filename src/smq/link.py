@@ -4,8 +4,8 @@ Instead of judging each side separately, a pair can be judged by how much
 the two people want each other: the sum of their two scores, or the
 maximum. Replacing every score with the pair's strength yields a profile
 with ties (both members of a pair see the same value), and stability with
-respect to those values is solved by linearizing and running deferred
-acceptance.
+respect to those values is solved by running deferred acceptance on the
+values themselves, equal values going to the lower index.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from __future__ import annotations
 import operator
 
 from .gale_shapley import gs
-from .instances import Marriage, QuantInstance, StrictProfile, WeakProfile, _misfit, _rank_row
+from .instances import (Marriage, QuantInstance, ScoredProfile, StrictProfile, WeakProfile,
+                        _misfit, _rank_row)
 
 MODES = ("add", "max")
 
@@ -93,18 +94,17 @@ def linearize_weak(profile: WeakProfile) -> StrictProfile:
 
 
 def link_stable_gs(instance: QuantInstance, mode: str) -> Marriage:
-    """Solve for a link-stable marriage: rank pair strengths and run deferred
-    acceptance with men proposing.
+    """Solve for a link-stable marriage: run deferred acceptance with men
+    proposing on the pair strengths, as a :class:`ScoredProfile`.
 
-    Every list ranks the other side by pair strength, highest first, equal
-    strengths by ascending candidate index: the profile
-    ``linearize_weak(link_transform(instance, mode))``, ranked straight from
-    the pair values.
+    Every person prefers higher pair strength, equal strengths by ascending
+    candidate index: the order of ``linearize_weak(link_transform(instance,
+    mode))``. Only the men's rows are ranked; the women compare strengths
+    as they stand.
 
     The output is always link-stable for the chosen mode. When the
     transformed profile has no ties it is additionally the unique link-stable
     marriage with the highest aggregate strength.
     """
     values, transpose = _pair_values(instance, mode)
-    ranked = StrictProfile(tuple(map(_rank_row, values)), tuple(map(_rank_row, transpose)))
-    return gs(ranked, "men")
+    return gs(ScoredProfile(values, transpose), "men")

@@ -5,8 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smq
-from conftest import P_A, P_B, instances
+from conftest import P_A, P_B, instances, tie_heavy_instances
 from references import shuffled_deferred_acceptance
+
+
+def scored(inst):
+    return smq.ScoredProfile(inst.men_scores, inst.women_scores)
 
 
 def final_engagements(trace):
@@ -33,11 +37,11 @@ def test_single_couple():
 
 
 def test_bad_side_rejected():
-    profile = smq.derive_classical(P_A)
-    with pytest.raises(ValueError):
-        smq.gs(profile, "either")
-    with pytest.raises(ValueError):
-        smq.step_trace(profile, "either")
+    for profile in (smq.derive_classical(P_A), scored(P_A)):
+        with pytest.raises(ValueError):
+            smq.gs(profile, "either")
+        with pytest.raises(ValueError):
+            smq.step_trace(profile, "either")
 
 
 def test_trace_replays_to_gs_result():
@@ -58,17 +62,24 @@ def test_trace_on_second_fixture_matches_enumerated_stable_set():
 
 @given(instances())
 def test_gs_output_has_no_classical_blocking_pair(inst):
-    profile = smq.derive_classical(inst)
-    for side in ("men", "women"):
-        marriage = smq.gs(profile, side)
-        assert smq.blocking_pairs(inst, marriage, "classical").stable
+    for profile in (smq.derive_classical(inst), scored(inst)):
+        for side in ("men", "women"):
+            marriage = smq.gs(profile, side)
+            assert smq.blocking_pairs(inst, marriage, "classical").stable
 
 
 @given(instances())
 def test_proposal_count_is_at_most_n_squared(inst):
-    profile = smq.derive_classical(inst)
+    for profile in (smq.derive_classical(inst), scored(inst)):
+        for side in ("men", "women"):
+            assert len(smq.step_trace(profile, side)) <= inst.n * inst.n
+
+
+@given(st.one_of(tie_heavy_instances(), instances()))
+def test_scores_as_values_replay_the_ranked_profile(inst):
+    classical = smq.derive_classical(inst)
     for side in ("men", "women"):
-        assert len(smq.step_trace(profile, side)) <= inst.n * inst.n
+        assert smq.step_trace(scored(inst), side) == smq.step_trace(classical, side), side
 
 
 @given(instances(max_n=4))

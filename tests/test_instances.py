@@ -200,6 +200,11 @@ def test_marriage_helpers():
         smq.make_marriage([0, 0])
     with pytest.raises(ValueError):
         smq.make_marriage([1, 2])
+    # equal to indices, but not indices
+    with pytest.raises(ValueError):
+        smq.make_marriage([True, False])
+    with pytest.raises(ValueError):
+        smq.make_marriage([1.0, 0.0])
 
 
 def test_random_instance_is_valid_and_deterministic():

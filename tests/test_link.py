@@ -1,11 +1,12 @@
 import pickle
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smq
-from conftest import P_A, P_C, instances, instances_with_marriage
+from conftest import P_A, P_C, instances, instances_with_marriage, tie_heavy_instances
 from references import (
     reference_link_stable_gs,
     reference_link_transform,
@@ -129,18 +130,42 @@ def test_transform_and_strength_match_per_pair_reference(case):
         )
 
 
-@st.composite
-def tie_heavy_instances(draw):
-    # scores from 0..n+3 leave each row at most four unused values, so equal
-    # pair strengths, and with them the index tie-break, are common
-    n = draw(st.integers(1, 8))
-    return draw(instances(min_n=n, max_n=n, max_score=n + 3))
-
-
 @given(tie_heavy_instances())
 def test_solver_matches_the_linearized_reference_under_ties(inst):
     for mode in ("add", "max"):
         assert smq.link_stable_gs(inst, mode) == reference_link_stable_gs(inst, mode)
+
+
+@given(st.one_of(tie_heavy_instances(), instances()))
+def test_strengths_as_values_replay_the_linearized_reference(inst):
+    # receivers comparing strengths, ties to the lower index, must make the
+    # same proposals, in the same order, as receivers ranking the reference
+    # lists
+    n = inst.n
+    for mode in ("add", "max"):
+        values = tuple(tuple(smq.link_value(inst, m, w, mode) for w in range(n))
+                       for m in range(n))
+        scored = smq.ScoredProfile(values, tuple(zip(*values)))
+        strict = smq.linearize_weak(reference_link_transform(inst, mode))
+        for side in ("men", "women"):
+            assert smq.step_trace(scored, side) == smq.step_trace(strict, side), (mode, side)
+
+
+@pytest.mark.parametrize("max_score", [3000, 300])
+def test_solvers_at_the_bench_size_match_their_references(max_score):
+    # at max_score 300 every row is a permutation of 1..300, so pair
+    # strengths tie often; at 3000 they seldom do
+    inst = smq.random_instance(300, seed=2, max_score=max_score)
+    scored = smq.ScoredProfile(inst.men_scores, inst.women_scores)
+    start = time.perf_counter()
+    link = {mode: smq.link_stable_gs(inst, mode) for mode in ("add", "max")}
+    classical = {side: smq.gs(scored, side) for side in ("men", "women")}
+    assert time.perf_counter() - start < 2.0
+    for mode in ("add", "max"):
+        assert link[mode] == reference_link_stable_gs(inst, mode), mode
+    ranked = smq.derive_classical(inst)
+    for side in ("men", "women"):
+        assert classical[side] == smq.gs(ranked, side), side
 
 
 # The public calls that read the kept strength table, by name so that a
