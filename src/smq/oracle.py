@@ -1,8 +1,12 @@
 """Exhaustive ground truth at desk scale.
 
-Stable sets come from a backtracking search over all n! marriages that cuts
-every partial marriage already holding a blocking pair; the weak-stability
-filter scans every permutation. Both are exponential in the worst case, so
+Stable sets come from a backtracking search over all n! marriages with
+forward checking: each placed pair sets floors on the partner values of the
+people still to be placed, so a partner that would form a blocking pair is
+never tried, and a branch is cut as soon as some man has no woman left above
+his floors. Every complete match is still certified by `is_stable`, so a
+fault in the cut could only drop members. The weak-stability filter scans
+every permutation. Both are exponential in the worst case, so
 the module refuses instances above a configurable size bound instead of
 silently sampling. It exists to certify the solvers: exact stable sets per
 notion, dominance-free subsets, lexicographic optima, highest-strength
@@ -80,52 +84,72 @@ def _check_bound(n: int, size_bound: int) -> None:
 def _scan(
     instance: QuantInstance, notion: str, alpha: int | None, first: int | None = None
 ) -> list[tuple[int, ...]]:
-    """Stable matches in lexicographic order, by backtracking: men are
-    placed in index order, each trying the free women in ascending index.
-    With `first` given, man 0 is placed with that woman only.
+    """Stable matches in lexicographic order, by backtracking with forward
+    checking: men are placed in index order, each trying the free women in
+    ascending index. With `first` given, man 0 is placed with that woman only.
 
-    A pair's verdict is fixed once the man and the woman's partner are both
-    placed, so placing man k with woman w tests just the pairs (k, match[j])
-    and (j, w) for j < k, and a blocked prefix is cut with everything below
-    it. Each complete match is then certified by `is_stable`, so a fault in
-    the cut could only drop members, never admit one.
+    Placing man j with woman wj sets floors, the lowest partner value a
+    person can accept. Each later man i whom wj would leave j for
+    (W[wj][i] >= W[wj][j] + g) needs U[i][his partner] >= U[i][wj] - g + 1,
+    or (i, wj) blocks; each free woman v whom j would leave wj for
+    (U[j][v] >= U[j][wj] + g) needs W[v][her partner] >= W[v][j] - g + 1, or
+    (j, v) blocks. So man k may take woman w iff U[k][w] and W[w][k] meet
+    their floors, which is the pairwise test against every placed man in
+    O(1). Each level works on its own copy of the floors.
+
+    Floors only rise deeper in the tree, so a branch is cut as soon as a
+    man after the next one has no free woman left who meets both floors;
+    the next man's own loop finds out the same for him. Each complete match
+    is then certified by `is_stable`, so a fault in the cut could only drop
+    members, never admit one.
     """
     U, W, g = _pair_values(instance, notion, alpha)
     n = instance.n
+    h = 1 - g
     match = [0] * n
-    man_needs = [0] * n  # man j's bound: U[j][match[j]] + g
-    woman_needs = [0] * n  # woman w's bound: W[w][her man] + g
     used = [False] * n
     out: list[tuple[int, ...]] = []
 
-    def place(k: int) -> None:
+    def place(k: int, man_floor: list[int], woman_floor: list[int]) -> None:
         u = U[k]
+        lo = man_floor[k]
         for w in range(n) if k or first is None else (first,):
-            if used[w]:
-                continue
             ww = W[w]
-            k_needs = u[w] + g
-            w_needs = ww[k] + g
-            for j in range(k):
-                wj = match[j]
-                if (u[wj] >= k_needs and W[wj][k] >= woman_needs[wj]) or (
-                    U[j][w] >= man_needs[j] and ww[j] >= w_needs
-                ):
-                    break
+            if used[w] or u[w] < lo or ww[k] < woman_floor[w]:
+                continue
+            match[k] = w
+            if k + 1 == n:
+                full = tuple(match)
+                if is_stable(instance, Marriage(full), notion, alpha):
+                    out.append(full)
+                continue
+            # w would leave k for man i: i's partner must keep (i, w) apart
+            men = man_floor[:]
+            bar = ww[k] + g
+            for i in range(k + 1, n):
+                if ww[i] >= bar and U[i][w] + h > men[i]:
+                    men[i] = U[i][w] + h
+            # k would leave w for woman v: v's partner must keep (k, v) apart
+            women = woman_floor[:]
+            bar = u[w] + g
+            for v in range(n):
+                if u[v] >= bar and not used[v] and W[v][k] + h > women[v]:
+                    women[v] = W[v][k] + h
+            used[w] = True
+            for i in range(k + 2, n):
+                ui = U[i]
+                floor = men[i]
+                for v in range(n):
+                    if not used[v] and ui[v] >= floor and W[v][i] >= women[v]:
+                        break
+                else:
+                    break  # man i has no woman left: cut the branch
             else:
-                match[k] = w
-                if k + 1 == n:
-                    full = tuple(match)
-                    if is_stable(instance, Marriage(full), notion, alpha):
-                        out.append(full)
-                    continue
-                man_needs[k] = k_needs
-                woman_needs[w] = w_needs
-                used[w] = True
-                place(k + 1)
-                used[w] = False
+                place(k + 1, men, women)
+            used[w] = False
 
-    place(0)
+    # scores are non-negative, so a floor of 0 admits every partner
+    place(0, [0] * n, [0] * n)
     return out
 
 

@@ -11,11 +11,14 @@ import smq
 from smq import (
     DuplicateScoreError,
     InvalidInstanceError,
+    Marriage,
     NegativeScoreError,
     NonSquareError,
     QuantInstance,
+    is_stable,
 )
 from smq.instances import Matrix
+from smq.stability import _pair_values
 
 
 def reference_blocking_pairs(instance, marriage, notion, alpha=None):
@@ -122,6 +125,60 @@ def reference_enumerate_stable(instance, notion, alpha=None):
         for m in stable
     )
     return smq.StableSet(notion, alpha, entries)
+
+
+def reference_pruned_scan(
+    instance: QuantInstance, notion: str, alpha: int | None, first: int | None = None
+) -> list[tuple[int, ...]]:
+    """The oracle's search before forward checking, kept as its slow twin.
+
+    Stable matches in lexicographic order, by backtracking: men are
+    placed in index order, each trying the free women in ascending index.
+    With `first` given, man 0 is placed with that woman only.
+
+    A pair's verdict is fixed once the man and the woman's partner are both
+    placed, so placing man k with woman w tests just the pairs (k, match[j])
+    and (j, w) for j < k, and a blocked prefix is cut with everything below
+    it. Each complete match is then certified by `is_stable`, so a fault in
+    the cut could only drop members, never admit one.
+    """
+    U, W, g = _pair_values(instance, notion, alpha)
+    n = instance.n
+    match = [0] * n
+    man_needs = [0] * n  # man j's bound: U[j][match[j]] + g
+    woman_needs = [0] * n  # woman w's bound: W[w][her man] + g
+    used = [False] * n
+    out: list[tuple[int, ...]] = []
+
+    def place(k: int) -> None:
+        u = U[k]
+        for w in range(n) if k or first is None else (first,):
+            if used[w]:
+                continue
+            ww = W[w]
+            k_needs = u[w] + g
+            w_needs = ww[k] + g
+            for j in range(k):
+                wj = match[j]
+                if (u[wj] >= k_needs and W[wj][k] >= woman_needs[wj]) or (
+                    U[j][w] >= man_needs[j] and ww[j] >= w_needs
+                ):
+                    break
+            else:
+                match[k] = w
+                if k + 1 == n:
+                    full = tuple(match)
+                    if is_stable(instance, Marriage(full), notion, alpha):
+                        out.append(full)
+                    continue
+                man_needs[k] = k_needs
+                woman_needs[w] = w_needs
+                used[w] = True
+                place(k + 1)
+                used[w] = False
+
+    place(0)
+    return out
 
 
 def reference_linearize(semiorder, men_order, women_order):

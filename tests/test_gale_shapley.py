@@ -102,6 +102,28 @@ def test_proposer_optimality_against_enumeration(inst):
             assert inst.women_scores[w][inv_opt[w]] >= inst.women_scores[w][inv_other[w]]
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_solvers_are_optimal_above_the_default_bound(seed):
+    # sizes 9-12, past the oracle's default bound of 8
+    n = 9 + seed % 4
+    inst = smq.random_instance(n, seed, 1000)
+    stable = smq.enumerate_stable(inst, "classical", size_bound=n).marriages()
+    profile = smq.derive_classical(inst)
+    male_opt = smq.gs(profile, "men")
+    female_opt = smq.gs(profile, "women")
+    assert male_opt in stable and female_opt in stable
+    for m, row in enumerate(inst.men_scores):
+        best = max(row[other.partner_of_man[m]] for other in stable)
+        assert row[male_opt.partner_of_man[m]] == best
+    inverses = [other.inverse() for other in stable]
+    for w, row in enumerate(inst.women_scores):
+        best = max(row[inverse[w]] for inverse in inverses)
+        assert row[female_opt.inverse()[w]] == best
+    for mode in ("add", "max"):
+        link_stable = smq.enumerate_stable(inst, f"link-{mode}", size_bound=n).marriages()
+        assert smq.link_stable_gs(inst, mode) in link_stable
+
+
 @given(instances(), st.integers(0, 2**32 - 1))
 def test_result_does_not_depend_on_free_proposer_order(inst, seed):
     profile = smq.derive_classical(inst)

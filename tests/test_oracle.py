@@ -1,14 +1,17 @@
 import pickle
 import time
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smq
-from smq.oracle import DEFAULT_SIZE_BOUND, _stable_marriages
-from conftest import M1, M2, P_A, P_B, P_C, alphas, instances
-from references import reference_enumerate_stable
+from smq import oracle
+from smq.oracle import DEFAULT_SIZE_BOUND, _scan, _stable_marriages
+from smq.stability import NOTIONS, is_stable
+from conftest import M1, M2, P_A, P_B, P_C, alphas, instances, tie_heavy_instances
+from references import reference_enumerate_stable, reference_pruned_scan
 from test_link import ALL_TIED
 
 # Small score ranges make ties across rows (and between the two scores of a
@@ -64,10 +67,30 @@ def test_worker_partitioning_is_deterministic():
 @given(tied_instances, alphas)
 @settings(max_examples=150)
 def test_search_and_skyline_match_exhaustive_scan(inst, alpha):
-    for notion in ("classical", "alpha", "link-add", "link-max"):
+    for notion in NOTIONS:
         a = alpha if notion == "alpha" else None
         expected = reference_enumerate_stable(inst, notion, a)
         assert smq.enumerate_stable(inst, notion, a).to_json() == expected.to_json()
+        # the parts the workers search, one per partner of man 0, in order
+        parts = [m for first in range(inst.n) for m in _scan(inst, notion, a, first)]
+        assert list(map(smq.Marriage, parts)) == expected.marriages(), notion
+
+
+@given(tie_heavy_instances(min_n=6), alphas)
+@settings(max_examples=40)
+def test_forward_checking_matches_the_pairwise_scan(inst, alpha):
+    verdicts = []
+
+    def certify(*args):
+        verdicts.append(is_stable(*args))
+        return verdicts[-1]
+
+    with patch.object(oracle, "is_stable", certify):
+        for notion in NOTIONS:
+            a = alpha if notion == "alpha" else None
+            assert _scan(inst, notion, a) == reference_pruned_scan(inst, notion, a), notion
+    # the floors are exact: no match the search completes holds a blocking pair
+    assert all(verdicts)
 
 
 def test_dense_stable_set_is_annotated_fast():
@@ -80,6 +103,16 @@ def test_dense_stable_set_is_annotated_fast():
     assert len(stable) == 6394
     assert len(smq.undominated(inst, stable)) == 32
     assert elapsed < 3.0
+
+
+def test_sparse_set_above_the_default_bound_is_found_fast():
+    # 1,243 of the 14! (about 87 billion) marriages are stable
+    inst = smq.random_instance(14, seed=1, max_score=140)
+    start = time.perf_counter()
+    stable = smq.enumerate_stable(inst, "alpha", 14, size_bound=14)
+    elapsed = time.perf_counter() - start
+    assert len(stable) == 1243
+    assert elapsed < 1.2
 
 
 def test_both_gap_two_marriages_are_undominated():
