@@ -198,7 +198,7 @@ def enumerate_stable(
     size_bound: int = DEFAULT_SIZE_BOUND,
     jobs: int = 1,
 ) -> StableSet:
-    """Exact stable set under a notion, by pruned backtracking search.
+    """Exact stable set under a notion, by backtracking search with forward checking.
 
     Marriages come out in lexicographic match order. With jobs > 1 the
     search is partitioned across worker processes by man 0's partner; the
