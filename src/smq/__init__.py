@@ -47,7 +47,6 @@ from .instances import (
 )
 from .link import (
     has_ties,
-    linearize_weak,
     link_stable_gs,
     link_transform,
     link_value,
@@ -105,7 +104,6 @@ __all__ = [
     "lex_male_alpha_gs",
     "lex_optimum",
     "linearize",
-    "linearize_weak",
     "link_stable_gs",
     "link_transform",
     "link_value",

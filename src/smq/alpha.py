@@ -15,16 +15,11 @@ from dataclasses import dataclass
 
 from .gale_shapley import gs
 from .instances import Marriage, QuantInstance, StrictProfile, _rank_row
+from .stability import _check_notion
 
 TotalOrder = tuple[int, ...]
 # A voting rule turns a ballot matrix (ballots[v][c] = voter v's score for
 # candidate c) into a strict total order over the candidates, best first.
-
-
-def _check_alpha(alpha) -> int:
-    if not isinstance(alpha, int) or isinstance(alpha, bool) or alpha < 1:
-        raise ValueError(f"alpha must be an integer >= 1, got {alpha!r}")
-    return alpha
 
 
 @dataclass(frozen=True)
@@ -67,7 +62,8 @@ class SemiorderProfile:
 def alpha_transform(instance: QuantInstance, alpha: int) -> SemiorderProfile:
     """View an instance at gap threshold alpha. At alpha=1 every distinct
     pair stays comparable, so the relation matches the classical profile."""
-    return SemiorderProfile(instance, _check_alpha(alpha))
+    _check_notion("alpha", alpha)
+    return SemiorderProfile(instance, alpha)
 
 
 def score_totals(ballots) -> list[int]:
@@ -154,7 +150,6 @@ def lex_male_alpha_gs(
     proposing. The output is always alpha-stable, because any marriage with
     no blocking pair in a linearization has none in the semiorder either.
     """
-    _check_alpha(alpha)
+    semiorder = alpha_transform(instance, alpha)
     men_order, women_order = popularity_orders(instance, rule)
-    profile = linearize(alpha_transform(instance, alpha), men_order, women_order)
-    return gs(profile, "men")
+    return gs(linearize(semiorder, men_order, women_order), "men")

@@ -36,7 +36,7 @@ def gs(profile: StrictProfile | ScoredProfile, proposing_side: str = "men") -> M
 
     The profile is either strict lists or a :class:`ScoredProfile`, where
     higher values are preferred and equal values go to the lower index, the
-    order :func:`derive_classical` and ``linearize_weak`` would list. The
+    order :func:`derive_classical` and :func:`link_transform` list. The
     receivers of a ``ScoredProfile`` compare values as they stand; only the
     proposers' rows are ranked.
 

@@ -100,10 +100,6 @@ class StrictProfile:
     men_prefs: Matrix
     women_prefs: Matrix
 
-    @property
-    def n(self) -> int:
-        return len(self.men_prefs)
-
 
 @dataclass(frozen=True)
 class ScoredProfile:
@@ -121,10 +117,6 @@ class Marriage:
     """A perfect matching; partner_of_man[i] is the woman married to man i."""
 
     partner_of_man: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.partner_of_man)
 
     def inverse(self) -> tuple[int, ...]:
         """partner_of_woman: entry j is the man married to woman j."""

@@ -13,8 +13,7 @@ from __future__ import annotations
 import operator
 
 from .gale_shapley import gs
-from .instances import (Marriage, QuantInstance, ScoredProfile, StrictProfile, WeakProfile,
-                        _misfit, _rank_row)
+from .instances import Marriage, QuantInstance, ScoredProfile, WeakProfile, _misfit, _rank_row
 
 MODES = ("add", "max")
 
@@ -86,21 +85,14 @@ def has_ties(profile: WeakProfile) -> bool:
     return False
 
 
-def linearize_weak(profile: WeakProfile) -> StrictProfile:
-    """Break ties by ascending candidate index; rows are stored in exactly
-    that order already, so this just drops the values."""
-    strip = lambda rows: tuple(tuple(c for c, _ in row) for row in rows)
-    return StrictProfile(strip(profile.men_values), strip(profile.women_values))
-
-
 def link_stable_gs(instance: QuantInstance, mode: str) -> Marriage:
     """Solve for a link-stable marriage: run deferred acceptance with men
     proposing on the pair strengths, as a :class:`ScoredProfile`.
 
     Every person prefers higher pair strength, equal strengths by ascending
-    candidate index: the order of ``linearize_weak(link_transform(instance,
-    mode))``. Only the men's rows are ranked; the women compare strengths
-    as they stand.
+    candidate index: the order in which :func:`link_transform` lists each
+    row. Only the men's rows are ranked; the women compare strengths as
+    they stand.
 
     The output is always link-stable for the chosen mode. When the
     transformed profile has no ties it is additionally the unique link-stable

@@ -83,8 +83,8 @@ def _check_bound(n: int, size_bound: int) -> None:
 
 def _scan(
     instance: QuantInstance, notion: str, alpha: int | None, first: int | None = None
-) -> list[tuple[int, ...]]:
-    """Stable matches in lexicographic order, by backtracking with forward
+) -> list[Marriage]:
+    """Stable marriages in lexicographic order, by backtracking with forward
     checking: men are placed in index order, each trying the free women in
     ascending index. With `first` given, man 0 is placed with that woman only.
 
@@ -95,33 +95,33 @@ def _scan(
     (U[j][v] >= U[j][wj] + g) needs W[v][her partner] >= W[v][j] - g + 1, or
     (j, v) blocks. So man k may take woman w iff U[k][w] and W[w][k] meet
     their floors, which is the pairwise test against every placed man in
-    O(1). Each level works on its own copy of the floors.
+    O(1). A placed woman's floor is one no partner value meets, and each
+    level works on its own copy of the floors.
 
     Floors only rise deeper in the tree, so a branch is cut as soon as a
-    man after the next one has no free woman left who meets both floors;
-    the next man's own loop finds out the same for him. Each complete match
-    is then certified by `is_stable`, so a fault in the cut could only drop
-    members, never admit one.
+    man after the next one has no woman left who meets both floors (the
+    next man's own loop finds that out for him). Each complete match is
+    certified by `is_stable`, so a fault in the cut could only drop members.
     """
     U, W, g = _pair_values(instance, notion, alpha)
     n = instance.n
     h = 1 - g
+    taken = max(map(max, W)) + 1
     match = [0] * n
-    used = [False] * n
-    out: list[tuple[int, ...]] = []
+    out: list[Marriage] = []
 
     def place(k: int, man_floor: list[int], woman_floor: list[int]) -> None:
         u = U[k]
         lo = man_floor[k]
         for w in range(n) if k or first is None else (first,):
             ww = W[w]
-            if used[w] or u[w] < lo or ww[k] < woman_floor[w]:
+            if u[w] < lo or ww[k] < woman_floor[w]:
                 continue
             match[k] = w
             if k + 1 == n:
-                full = tuple(match)
-                if is_stable(instance, Marriage(full), notion, alpha):
-                    out.append(full)
+                marriage = Marriage(tuple(match))
+                if is_stable(instance, marriage, notion, alpha):
+                    out.append(marriage)
                 continue
             # w would leave k for man i: i's partner must keep (i, w) apart
             men = man_floor[:]
@@ -133,20 +133,19 @@ def _scan(
             women = woman_floor[:]
             bar = u[w] + g
             for v in range(n):
-                if u[v] >= bar and not used[v] and W[v][k] + h > women[v]:
+                if u[v] >= bar and W[v][k] + h > women[v]:
                     women[v] = W[v][k] + h
-            used[w] = True
+            women[w] = taken
             for i in range(k + 2, n):
                 ui = U[i]
                 floor = men[i]
                 for v in range(n):
-                    if not used[v] and ui[v] >= floor and W[v][i] >= women[v]:
+                    if ui[v] >= floor and W[v][i] >= women[v]:
                         break
                 else:
                     break  # man i has no woman left: cut the branch
             else:
                 place(k + 1, men, women)
-            used[w] = False
 
     # scores are non-negative, so a floor of 0 admits every partner
     place(0, [0] * n, [0] * n)
@@ -155,21 +154,21 @@ def _scan(
 
 def _stable_marriages(
     instance: QuantInstance, notion: str, alpha: int | None, size_bound: int, jobs: int = 1
-) -> list[Marriage]:
-    """The stable set in lexicographic match order, without annotations.
-    With jobs > 1 the parts, one per partner of man 0, come back in order.
+) -> tuple[Marriage, ...]:
+    """The stable set in lexicographic match order, without annotations;
+    with jobs > 1 the parts, one per partner of man 0, come back in order.
 
-    The result is kept on the instance per notion, with its alpha: a later
-    call for the same notion and alpha returns a new list of the same
-    certified members without searching, and a call at another alpha
-    searches and replaces it. The job count is not part of the key, since
-    the result is identical for any count. Both checks run on every call."""
+    The tuple of certified marriages is kept on the instance per notion, with
+    its alpha: a later call for the same notion and alpha returns that tuple
+    without searching; a call at another alpha searches and replaces it. The
+    job count is not in the key, since the result is identical for any
+    count. Both checks run on every call."""
     _check_bound(instance.n, size_bound)
     _check_notion(notion, alpha)
     searches = instance._kept["search"]
     kept = searches.get(notion)
     if kept is not None and kept[0] == alpha:
-        return list(kept[1])
+        return kept[1]
     if jobs > 1 and instance.n > 1:
         # Imported here: it costs a sizeable share of `import smq`.
         from concurrent.futures import ProcessPoolExecutor
@@ -182,12 +181,11 @@ def _stable_marriages(
                 itertools.repeat(alpha),
                 range(instance.n),
             )
-            matches = [m for part in parts for m in part]
+            stable = tuple(m for part in parts for m in part)
     else:
-        matches = _scan(instance, notion, alpha)
-    stable = tuple(map(Marriage, matches))
+        stable = tuple(_scan(instance, notion, alpha))
     searches[notion] = alpha, stable
-    return list(stable)
+    return stable
 
 
 def enumerate_stable(

@@ -244,11 +244,18 @@ def reference_marriage_link(instance, marriage, mode):
     return sum(values) if mode == "add" else max(values)
 
 
+def reference_linearize_weak(profile):
+    """Strict lists from a weak profile, ties by ascending candidate index:
+    the rows are stored in that order, so this drops the values."""
+    strip = lambda rows: tuple(tuple(c for c, _ in row) for row in rows)
+    return smq.StrictProfile(strip(profile.men_values), strip(profile.women_values))
+
+
 def reference_link_stable_gs(instance, mode):
     """The link solver by its definition: linearize the per-pair reference
     transform (ties by ascending candidate index) and run men-proposing
     deferred acceptance."""
-    return smq.gs(smq.linearize_weak(reference_link_transform(instance, mode)), "men")
+    return smq.gs(reference_linearize_weak(reference_link_transform(instance, mode)), "men")
 
 
 def reference_validate(n, men_scores, women_scores):

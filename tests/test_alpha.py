@@ -47,6 +47,8 @@ def test_huge_threshold_makes_everything_incomparable():
 def test_threshold_must_be_positive_integer(bad):
     with pytest.raises(ValueError):
         smq.alpha_transform(P_B, bad)
+    with pytest.raises(ValueError):
+        smq.lex_male_alpha_gs(P_B, bad)
 
 
 @given(instances(max_n=4), alphas)

@@ -1,10 +1,14 @@
-"""The package depends on nothing outside the standard library."""
+"""The package depends on nothing outside the standard library, and every
+public name has a reader outside the tests."""
 
 import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "smq"
+import smq
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "smq"
 
 
 def test_src_imports_only_the_standard_library_and_smq():
@@ -22,3 +26,18 @@ def test_src_imports_only_the_standard_library_and_smq():
                 if top != "smq" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno} {name}")
     assert not outside, outside
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    paths = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    paths += [*(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    assert sorted(set(smq.__all__) - read) == []
