@@ -29,7 +29,7 @@ from .instances import (
 )
 from .link import link_stable_gs, link_transform, marriage_link
 from .oracle import DEFAULT_SIZE_BOUND, SizeBoundError, enumerate_stable
-from .stability import BlockingReport, blocking_pairs
+from .stability import NOTIONS, BlockingReport, blocking_pairs
 
 OK, INVALID_INSTANCE, USAGE, UNSTABLE, BAD_MARRIAGE = 0, 1, 2, 3, 4
 
@@ -61,8 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.set_defaults(func=_cmd_solve)
 
     check = sub.add_parser("check", help="audit a marriage for blocking pairs")
-    check.add_argument("--notion", required=True,
-                       choices=["classical", "alpha", "link-add", "link-max"])
+    check.add_argument("--notion", required=True, choices=NOTIONS)
     check.add_argument("--alpha", type=int)
     check.add_argument("--marriage", required=True,
                        help="comma-separated 0-based woman index per man, e.g. 1,0")
@@ -71,8 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.set_defaults(func=_cmd_check)
 
     enum = sub.add_parser("enumerate", help="exhaustively list all stable marriages")
-    enum.add_argument("--notion", required=True,
-                      choices=["classical", "alpha", "link-add", "link-max"])
+    enum.add_argument("--notion", required=True, choices=NOTIONS)
     enum.add_argument("--alpha", type=int)
     enum.add_argument("--size-bound", type=int, default=DEFAULT_SIZE_BOUND,
                       help=f"refuse instances larger than this (default {DEFAULT_SIZE_BOUND})")
@@ -154,18 +152,12 @@ def _parse_marriage(text: str, n: int) -> Marriage:
     raise _Fail(BAD_MARRIAGE, f"--marriage {text!r} is not a permutation of 0..{n - 1}")
 
 
-def _print_pairing(marriage: Marriage) -> None:
-    for m, w in marriage.pairs():
-        print(f"  {man_name(m)} -- {woman_name(w)}")
-
-
 def _cmd_solve(args) -> int:
     instance = _load_instance(args.instance)
     alpha = _require_alpha(args, args.notion == "lex-alpha", "--notion lex-alpha")
-    if args.notion == "male":
-        marriage = gs(ScoredProfile(instance.men_scores, instance.women_scores), "men")
-    elif args.notion == "female":
-        marriage = gs(ScoredProfile(instance.men_scores, instance.women_scores), "women")
+    if args.notion in ("male", "female"):
+        side = "men" if args.notion == "male" else "women"
+        marriage = gs(ScoredProfile(instance.men_scores, instance.women_scores), side)
     elif args.notion == "lex-alpha":
         marriage = lex_male_alpha_gs(instance, alpha)
     else:
@@ -173,7 +165,8 @@ def _cmd_solve(args) -> int:
     print(serialize_marriage(marriage))
     if args.pretty:
         print(f"pairing ({args.notion}):")
-        _print_pairing(marriage)
+        for m, w in marriage.pairs():
+            print(f"  {man_name(m)} -- {woman_name(w)}")
         if args.notion.startswith("link-"):
             mode = args.notion.removeprefix("link-")
             print(f"  link ({mode}) = {marriage_link(instance, marriage, mode)}")

@@ -8,7 +8,6 @@ link solvers hand :func:`gs` the values they already hold, as a
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .instances import Marriage, ScoredProfile, StrictProfile, _rank_row
@@ -48,11 +47,14 @@ def gs(profile: StrictProfile | ScoredProfile, proposing_side: str = "men") -> M
     man -> woman matching).
 
     Deterministic: among the currently free proposers, the lowest index
-    always proposes next. The outcome does not depend on that order; the
-    fixed order just makes traces reproducible.
+    always proposes next. Proposers enter in index order, a new one only
+    when every earlier one is engaged, and a proposal frees at most one of
+    them, so the free one among them is always the lowest free index. The
+    outcome does not depend on that order; the fixed order just makes
+    traces reproducible.
     """
     marriage = Marriage(tuple(_deferred_acceptance(*_sides(profile, proposing_side))))
-    return marriage if proposing_side == "men" else Marriage(marriage.inverse())
+    return marriage if proposing_side == "women" else Marriage(marriage.inverse())
 
 
 def step_trace(profile: StrictProfile | ScoredProfile,
@@ -97,38 +99,30 @@ def _deferred_acceptance(
     receiver_values,
     trace: list[Proposal] | None = None,
 ) -> list[int]:
-    """Core loop; returns matching[p] = receiver engaged to proposer p.
+    """Core loop; returns fiance[r] = proposer engaged to receiver r.
 
     Receiver r prefers proposer p over her fiance c when
-    ``receiver_values[r][p]`` is higher, or equal with p < c. Free proposers
-    wait in a heap, so the lowest index proposes next.
+    ``receiver_values[r][p]`` is higher, or equal with p < c. Proposers
+    enter in index order; an entrant proposes until he is engaged, and a
+    displaced fiance proposes next in his place.
     """
     n = len(proposer_prefs)
     next_choice = [0] * n
     fiance: list[int | None] = [None] * n
-    free = list(range(n))  # ascending, hence already a heap
-
-    while free:
-        p = heapq.heappop(free)
-        r = proposer_prefs[p][next_choice[p]]
-        next_choice[p] += 1
-        current = fiance[r]
-        if current is None:
-            fiance[r] = p
-            if trace is not None:
-                trace.append(Proposal(p, r, "engaged"))
-        elif ((values := receiver_values[r])[p] > values[current]
-              or values[p] == values[current] and p < current):
-            fiance[r] = p
-            heapq.heappush(free, current)
-            if trace is not None:
-                trace.append(Proposal(p, r, "displaced", current))
-        else:
-            heapq.heappush(free, p)
-            if trace is not None:
+    for p in range(n):
+        while p is not None:
+            r = proposer_prefs[p][next_choice[p]]
+            next_choice[p] += 1
+            current = fiance[r]
+            if current is None or (
+                (values := receiver_values[r])[p] > values[current]
+                or values[p] == values[current] and p < current
+            ):
+                fiance[r] = p
+                if trace is not None:
+                    outcome = "engaged" if current is None else "displaced"
+                    trace.append(Proposal(p, r, outcome, current))
+                p = current
+            elif trace is not None:
                 trace.append(Proposal(p, r, "rejected"))
-
-    matching = [0] * n
-    for r, p in enumerate(fiance):
-        matching[p] = r
-    return matching
+    return fiance

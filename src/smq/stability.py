@@ -124,8 +124,9 @@ def blocking_pairs(
     the two scores) exceeds the strength of both current pairings.
 
     Witness values record the numbers certifying each violation. Pairs are
-    reported in ascending (man, woman) order. Raises ValueError unless the
-    marriage has the instance's size.
+    reported in ascending (man, woman) order. The marriage must be a
+    permutation of the women (build it with :func:`make_marriage`); only its
+    size is checked, and a ValueError is raised unless it is the instance's.
     """
     _check_notion(notion, alpha)
     match = marriage.partner_of_man
@@ -146,7 +147,8 @@ def is_stable(
     alpha: int | None = None,
 ) -> bool:
     """Early-exit stability check; the same scan and checks as
-    :func:`blocking_pairs`."""
+    :func:`blocking_pairs`. The marriage must be a permutation of the women
+    (build it with :func:`make_marriage`); only its size is checked."""
     _check_notion(notion, alpha)
     match = marriage.partner_of_man
     if len(match) != instance.n:

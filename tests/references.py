@@ -81,7 +81,8 @@ def reference_blocking_pairs(instance, marriage, notion, alpha=None):
 
 def shuffled_deferred_acceptance(profile, rng):
     """Men-proposing deferred acceptance in which a random free man proposes
-    next, instead of the lowest-indexed one."""
+    next, instead of the lowest-indexed one. Returns the marriage and the
+    number of proposals made."""
     n = len(profile.men_prefs)
     next_choice = [0] * n
     fiance = [None] * n
@@ -101,7 +102,48 @@ def shuffled_deferred_acceptance(profile, rng):
     partner = [0] * n
     for w, m in enumerate(fiance):
         partner[m] = w
-    return smq.Marriage(tuple(partner))
+    return smq.Marriage(tuple(partner)), sum(next_choice)
+
+
+def reference_step_trace(profile, side):
+    """The proposal history of deferred acceptance, by its stated rule.
+
+    Every proposer starts free, and the lowest free index proposes next.
+    Each proposer's list is ranked by (-value, index). A receiver compares
+    two proposers by value, and an equal value goes to the lower index. A
+    strict profile's lists are read as values: an earlier place is higher.
+    """
+    if isinstance(profile, smq.ScoredProfile):
+        men, women = profile.men_scores, profile.women_scores
+    else:
+        men, women = (
+            [[-prefs.index(q) for q in range(len(prefs))] for prefs in lists]
+            for lists in (profile.men_prefs, profile.women_prefs)
+        )
+    proposers, receivers = (men, women) if side == "men" else (women, men)
+    n = len(proposers)
+    ranked = [sorted(range(n), key=lambda q: (-row[q], q)) for row in proposers]
+    next_choice = [0] * n
+    fiance = [None] * n
+    free = set(range(n))
+    trace = []
+    while free:
+        p = min(free)
+        r = ranked[p][next_choice[p]]
+        next_choice[p] += 1
+        current = fiance[r]
+        if current is None:
+            free.remove(p)
+            fiance[r] = p
+            trace.append(smq.Proposal(p, r, "engaged"))
+        elif (receivers[r][p], -p) > (receivers[r][current], -current):
+            free.remove(p)
+            free.add(current)
+            fiance[r] = p
+            trace.append(smq.Proposal(p, r, "displaced", current))
+        else:
+            trace.append(smq.Proposal(p, r, "rejected"))
+    return trace
 
 
 def reference_enumerate_stable(instance, notion, alpha=None):

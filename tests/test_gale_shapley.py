@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 import smq
 from conftest import P_A, P_B, instances, tie_heavy_instances
-from references import shuffled_deferred_acceptance
+from references import reference_step_trace, shuffled_deferred_acceptance
+from smq.link import _pair_values
 
 
 def scored(inst):
@@ -19,6 +20,14 @@ def final_engagements(trace):
         if event.outcome in ("engaged", "displaced"):
             fiance[event.proposee] = event.proposer
     return {(m, w) for w, m in fiance.items()}
+
+
+def married(trace, side):
+    """The marriage a trace ends in, reported man -> woman."""
+    pairs = final_engagements(trace)
+    if side == "women":
+        pairs = {(m, w) for w, m in pairs}
+    return smq.Marriage(tuple(w for _, w in sorted(pairs)))
 
 
 def test_men_proposing_on_two_couple_market():
@@ -75,11 +84,23 @@ def test_proposal_count_is_at_most_n_squared(inst):
             assert len(smq.step_trace(profile, side)) <= inst.n * inst.n
 
 
-@given(st.one_of(tie_heavy_instances(), instances()))
-def test_scores_as_values_replay_the_ranked_profile(inst):
+@given(st.one_of(tie_heavy_instances(), instances()), st.integers(1, 12))
+def test_scores_as_values_replay_the_ranked_profile(inst, alpha):
     classical = smq.derive_classical(inst)
+    semiorder = smq.alpha_transform(inst, alpha)
+    profiles = (
+        classical,
+        scored(inst),
+        smq.ScoredProfile(*_pair_values(inst, "add")),
+        smq.ScoredProfile(*_pair_values(inst, "max")),
+        smq.linearize(semiorder, *smq.popularity_orders(inst)),
+    )
     for side in ("men", "women"):
         assert smq.step_trace(scored(inst), side) == smq.step_trace(classical, side), side
+        for profile in profiles:
+            trace = reference_step_trace(profile, side)
+            assert smq.step_trace(profile, side) == trace, (side, profile)
+            assert smq.gs(profile, side) == married(trace, side), (side, profile)
 
 
 @given(instances(max_n=4))
@@ -128,5 +149,6 @@ def test_solvers_are_optimal_above_the_default_bound(seed):
 @given(instances(), st.integers(0, 2**32 - 1))
 def test_result_does_not_depend_on_free_proposer_order(inst, seed):
     profile = smq.derive_classical(inst)
-    shuffled = shuffled_deferred_acceptance(profile, random.Random(seed))
+    shuffled, proposals = shuffled_deferred_acceptance(profile, random.Random(seed))
     assert shuffled == smq.gs(profile, "men")
+    assert proposals == len(smq.step_trace(profile, "men"))
