@@ -224,10 +224,11 @@ def make_marriage(values) -> Marriage:
 
 
 def _misfit(instance: QuantInstance, marriage: Marriage) -> ValueError:
-    """The error for a marriage whose size is not the instance's; callers
-    compare the sizes themselves, once, and raise this on a mismatch."""
-    return ValueError(f"a marriage of size {len(marriage.partner_of_man)} does not fit "
-                      f"an instance of size {instance.n}")
+    """The error for a marriage that is not a permutation of the instance's
+    women; callers test the marriage themselves, once, and raise this."""
+    match = marriage.partner_of_man
+    return ValueError(f"a marriage of size {len(match)} ({list(match)}) is not a "
+                      f"permutation of the women of an instance of size {instance.n}")
 
 
 def parse_instance(text: str) -> QuantInstance:

@@ -1,17 +1,17 @@
 """Exhaustive ground truth at desk scale.
 
 Stable sets come from a backtracking search over all n! marriages with
-forward checking: each placed pair sets floors on the partner values of the
-people still to be placed, so a partner that would form a blocking pair is
-never tried, and a branch is cut as soon as some man has no woman left above
-his floors. Every complete match is still certified by `is_stable`, so a
-fault in the cut could only drop members. The weak-stability filter scans
-every permutation. Both are exponential in the worst case, so
-the module refuses instances above a configurable size bound instead of
-silently sampling. It exists to certify the solvers: exact stable sets per
-notion, dominance-free subsets, lexicographic optima, highest-strength
-marriages, and the weak-stability dual filters used to cross-check set
-equalities.
+forward checking: the pairs still admissible are the bits of one int, and
+each placed pair clears, with one mask built on first use, its woman's
+column and every pair that would then form a blocking pair, so such a
+partner is never tried, and a branch is cut as soon as some man has no pair
+left. Every member is certified by `is_stable`, so a fault in the cut could
+only drop members. The weak-stability filter scans every permutation. Both
+are exponential in the worst case, so the module refuses instances above a
+configurable size bound instead of silently sampling. It exists to certify
+the solvers: exact stable sets per notion, dominance-free subsets,
+lexicographic optima, highest-strength marriages, and the weak-stability
+dual filters used to cross-check set equalities.
 
 Each instance keeps its last search per notion, so `enumerate_stable`,
 `lex_optimum`, `highest_link` and `feasible_partners` on one instance share
@@ -81,6 +81,15 @@ def _check_bound(n: int, size_bound: int) -> None:
         )
 
 
+def _below(values, least: int, bit: int, step: int) -> int:
+    """The bits bit << x*step, one for each x with values[x] <= least."""
+    mask = 0
+    for x, value in enumerate(values):
+        if value <= least:
+            mask |= bit << x * step
+    return mask
+
+
 def _scan(
     instance: QuantInstance, notion: str, alpha: int | None, first: int | None = None
 ) -> list[Marriage]:
@@ -88,67 +97,77 @@ def _scan(
     checking: men are placed in index order, each trying the free women in
     ascending index. With `first` given, man 0 is placed with that woman only.
 
-    Placing man j with woman wj sets floors, the lowest partner value a
-    person can accept. Each later man i whom wj would leave j for
-    (W[wj][i] >= W[wj][j] + g) needs U[i][his partner] >= U[i][wj] - g + 1,
-    or (i, wj) blocks; each free woman v whom j would leave wj for
-    (U[j][v] >= U[j][wj] + g) needs W[v][her partner] >= W[v][j] - g + 1, or
-    (j, v) blocks. So man k may take woman w iff U[k][w] and W[w][k] meet
-    their floors, which is the pairwise test against every placed man in
-    O(1). A placed woman's floor is one no partner value meets, and each
-    level works on its own copy of the floors.
+    The pairs still admissible are the bits of one int, bit m*n + w for the
+    pair (m, w). Placing man k with woman w keeps only the pairs of the mask
+    `allowed[k][w]`, which removes woman w's column, each (j, v) with
+    U[k][v] >= U[k][w] + g and W[v][k] >= W[v][j] + g ((k, v) would block),
+    and each (i, v) with W[w][i] >= W[w][k] + g and U[i][w] >= U[i][v] + g
+    ((i, w) would block). So the masks are exact: a complete match is stable
+    iff no placement removed one of its pairs. A man's row of masks is built
+    when he is first placed, from pair sets kept for reuse. The last two men
+    need none: once man n - 2 takes w, the last man can only take the woman
+    v left, and only (n - 2, v) and (n - 1, w) could still block.
 
-    Floors only rise deeper in the tree, so a branch is cut as soon as a
-    man after the next one has no woman left who meets both floors (the
-    next man's own loop finds that out for him). Each complete match is
-    certified by `is_stable`, so a fault in the cut could only drop members.
+    Domains only shrink deeper in the tree, so a branch is cut as soon as a
+    later man's n-bit field is empty. One test covers them all: adding
+    2**(n-1) - 1 to a field's low n - 1 bits carries into its top bit iff
+    one of them is set. Each complete match is certified by `is_stable`, so
+    a fault in the cut could only drop members.
     """
     U, W, g = _pair_values(instance, notion, alpha)
     n = instance.n
-    h = 1 - g
-    taken = max(map(max, W)) + 1
+    last = n - 1
+    full = (1 << n) - 1
+    rep = ((1 << n * n) - 1) // full  # bit m*n for every man m
+    low = rep * (full >> 1)  # the low n - 1 bits of every man's field
+    top = rep << n - 1  # the top bit of every man's field
+    worse: list[int | None] = [None] * (n * n)  # [w*n + i]: the (i, v) man i would leave for w
+    allowed: list[list[int] | None] = [None] * n
     match = [0] * n
     out: list[Marriage] = []
 
-    def place(k: int, man_floor: list[int], woman_floor: list[int]) -> None:
-        u = U[k]
-        lo = man_floor[k]
-        for w in range(n) if k or first is None else (first,):
-            ww = W[w]
-            if u[w] < lo or ww[k] < woman_floor[w]:
-                continue
-            match[k] = w
-            if k + 1 == n:
-                marriage = Marriage(tuple(match))
-                if is_stable(instance, marriage, notion, alpha):
-                    out.append(marriage)
-                continue
-            # w would leave k for man i: i's partner must keep (i, w) apart
-            men = man_floor[:]
-            bar = ww[k] + g
-            for i in range(k + 1, n):
-                if ww[i] >= bar and U[i][w] + h > men[i]:
-                    men[i] = U[i][w] + h
-            # k would leave w for woman v: v's partner must keep (k, v) apart
-            women = woman_floor[:]
-            bar = u[w] + g
-            for v in range(n):
-                if u[v] >= bar and W[v][k] + h > women[v]:
-                    women[v] = W[v][k] + h
-            women[w] = taken
-            for i in range(k + 2, n):
-                ui = U[i]
-                floor = men[i]
+    def place(k: int, domain: int) -> None:
+        bits = domain >> k * n & full if k or first is None else 1 << first
+        if k == last:  # one woman is left to him
+            match[k] = bits.bit_length() - 1
+            marriage = Marriage(tuple(match))
+            if is_stable(instance, marriage, notion, alpha):
+                out.append(marriage)
+            return
+        row = allowed[k]
+        if row is None and k + 1 < last:
+            u = U[k]
+            beaten: list[int | None] = [None] * n  # [v]: the (j, v) woman v would leave for k
+            row = allowed[k] = []
+            for w in range(n):
+                cut = rep << w
                 for v in range(n):
-                    if ui[v] >= floor and W[v][i] >= women[v]:
-                        break
-                else:
-                    break  # man i has no woman left: cut the branch
-            else:
-                place(k + 1, men, women)
+                    if u[v] >= u[w] + g:
+                        if beaten[v] is None:
+                            beaten[v] = _below(W[v], W[v][k] - g, 1 << v, n)
+                        cut |= beaten[v]
+                for i in range(k + 1, n):
+                    if W[w][i] >= W[w][k] + g:
+                        if worse[w * n + i] is None:
+                            worse[w * n + i] = _below(U[i], U[i][w] - g, 1 << i * n, 1)
+                        cut |= worse[w * n + i]
+                row.append(~cut)
+        hi = top >> (k + 1) * n << (k + 1) * n  # the later men's top bits
+        while bits:
+            w = (bits & -bits).bit_length() - 1
+            bits &= bits - 1
+            match[k] = w
+            if row is None:  # k + 1 is the last man: test him with the woman v left
+                v = (domain >> last * n & full & ~(1 << w)).bit_length() - 1
+                if v >= 0 and not (U[k][v] >= U[k][w] + g and W[v][k] >= W[v][last] + g
+                                   or W[w][last] >= W[w][k] + g and U[last][w] >= U[last][v] + g):
+                    place(last, 1 << v << last * n)
+                continue
+            rest = domain & row[w]
+            if (((rest & low) + low) | rest) & hi == hi:
+                place(k + 1, rest)
 
-    # scores are non-negative, so a floor of 0 admits every partner
-    place(0, [0] * n, [0] * n)
+    place(0, (1 << n * n) - 1)
     return out
 
 

@@ -124,13 +124,12 @@ def blocking_pairs(
     the two scores) exceeds the strength of both current pairings.
 
     Witness values record the numbers certifying each violation. Pairs are
-    reported in ascending (man, woman) order. The marriage must be a
-    permutation of the women (build it with :func:`make_marriage`); only its
-    size is checked, and a ValueError is raised unless it is the instance's.
+    reported in ascending (man, woman) order. A ValueError is raised unless
+    the marriage is a permutation of the instance's women.
     """
     _check_notion(notion, alpha)
     match = marriage.partner_of_man
-    if len(match) != instance.n:
+    if len(match) != instance.n or not set(match).issuperset(range(instance.n)):
         raise _misfit(instance, marriage)
     U, W, g = _pair_values(instance, notion, alpha)
     inverse = marriage.inverse()
@@ -147,11 +146,11 @@ def is_stable(
     alpha: int | None = None,
 ) -> bool:
     """Early-exit stability check; the same scan and checks as
-    :func:`blocking_pairs`. The marriage must be a permutation of the women
-    (build it with :func:`make_marriage`); only its size is checked."""
+    :func:`blocking_pairs`: a ValueError unless the marriage is a
+    permutation of the instance's women."""
     _check_notion(notion, alpha)
     match = marriage.partner_of_man
-    if len(match) != instance.n:
+    if len(match) != instance.n or not set(match).issuperset(range(instance.n)):
         raise _misfit(instance, marriage)
     return not _blocks(*_pair_values(instance, notion, alpha), match, True)
 

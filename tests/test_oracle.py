@@ -90,8 +90,23 @@ def test_forward_checking_matches_the_pairwise_scan(inst, alpha):
             a = alpha if notion == "alpha" else None
             matches = [m.partner_of_man for m in _scan(inst, notion, a)]
             assert matches == reference_pruned_scan(inst, notion, a), notion
-    # the floors are exact: no match the search completes holds a blocking pair
+            for first in range(inst.n):
+                part = [m.partner_of_man for m in _scan(inst, notion, a, first)]
+                assert part == reference_pruned_scan(inst, notion, a, first), (notion, first)
+    # the masks are exact: no match the search completes holds a blocking pair
     assert all(verdicts)
+
+
+@pytest.mark.parametrize("n", [1, 9, 10])
+def test_forward_checking_matches_the_pairwise_scan_above_the_bound(n):
+    # n = 1 has no later man to cut on; at n = 9 and 10 the n*n bits of a
+    # search state pass 64
+    for seed, max_score, alpha in ((1, 10 * n, n), (2, 5 * n, n // 2 + 1), (3, 2 * n, 3)):
+        inst = smq.random_instance(n, seed=seed, max_score=max_score)
+        for notion in NOTIONS:
+            a = alpha if notion == "alpha" else None
+            matches = [m.partner_of_man for m in _scan(inst, notion, a)]
+            assert matches == reference_pruned_scan(inst, notion, a), (seed, notion)
 
 
 def test_dense_stable_set_is_annotated_fast():

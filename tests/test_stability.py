@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smq
+from smq.stability import NOTIONS
 from conftest import M1, M2, P_B, P_C, instances, instances_with_marriage
 from references import reference_blocking_pairs
 
@@ -139,3 +140,13 @@ def test_a_marriage_of_another_size_is_refused(size):
     for call in calls:
         with pytest.raises(ValueError, match=f"size {size} .* size 3"):
             call()
+
+
+@pytest.mark.parametrize("match", [(0, 0, 0), (0, 1, -1), (0, 1, 5)])
+def test_a_marriage_that_is_not_a_permutation_is_refused(match):
+    inst = smq.random_instance(3, seed=1, max_score=5)
+    for notion in NOTIONS:
+        a = 100 if notion == "alpha" else None
+        for audit in (smq.is_stable, smq.blocking_pairs):
+            with pytest.raises(ValueError, match="is not a permutation"):
+                audit(inst, smq.Marriage(match), notion, a)
