@@ -11,10 +11,9 @@ orders produced by a voting rule.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .gale_shapley import gs
-from .instances import Marriage, QuantInstance, StrictProfile, _rank_row
+from .instances import Marriage, QuantInstance, StrictProfile, _rank_row, _Record
 from .stability import _check_notion
 
 TotalOrder = tuple[int, ...]
@@ -22,8 +21,7 @@ TotalOrder = tuple[int, ...]
 # candidate c) into a strict total order over the candidates, best first.
 
 
-@dataclass(frozen=True)
-class SemiorderProfile:
+class SemiorderProfile(_Record):
     """Per-person preference relations at a given gap threshold: x strictly
     prefers a over b iff score(x,a) - score(x,b) >= alpha; smaller gaps make
     the pair incomparable.
@@ -32,8 +30,11 @@ class SemiorderProfile:
     gaps of alpha span at least alpha), so every list is a semiorder.
     """
 
-    instance: QuantInstance
-    alpha: int
+    __slots__ = _fields = ("instance", "alpha")
+
+    def __init__(self, instance: QuantInstance, alpha: int):
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "alpha", alpha)
 
     @property
     def n(self) -> int:

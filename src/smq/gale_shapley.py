@@ -8,13 +8,10 @@ link solvers hand :func:`gs` the values they already hold, as a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .instances import Marriage, ScoredProfile, StrictProfile, _rank_row
+from .instances import Marriage, ScoredProfile, StrictProfile, _rank_row, _Record
 
 
-@dataclass(frozen=True)
-class Proposal:
+class Proposal(_Record):
     """One proposal event. Indices are relative to the proposing side:
     with men proposing, proposer is a man index and proposee a woman index.
 
@@ -23,10 +20,13 @@ class Proposal:
     is recorded in displaced).
     """
 
-    proposer: int
-    proposee: int
-    outcome: str
-    displaced: int | None = None
+    __slots__ = _fields = ("proposer", "proposee", "outcome", "displaced")
+
+    def __init__(self, proposer: int, proposee: int, outcome: str, displaced: int | None = None):
+        object.__setattr__(self, "proposer", proposer)
+        object.__setattr__(self, "proposee", proposee)
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "displaced", displaced)
 
 
 def gs(profile: StrictProfile | ScoredProfile, proposing_side: str = "men") -> Marriage:

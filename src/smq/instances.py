@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import random
 import sys
-from dataclasses import dataclass, field
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -58,8 +57,38 @@ def woman_name(j: int) -> str:
     return f"w{j + 1}"
 
 
-@dataclass(frozen=True)
-class QuantInstance:
+class _Record:
+    """Base of the immutable records: a record keeps the fields named in
+    `_fields` in slots and compares (same class, equal fields), hashes,
+    prints and pickles by them; setting or deleting one raises AttributeError."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class QuantInstance(_Record):
     """A scored market: men_scores[i][j] is man i's score for woman j,
     women_scores[i][j] is woman i's score for man j.
 
@@ -68,55 +97,58 @@ class QuantInstance:
     derived results are kept on the instance, so the scores must never be
     mutated.
 
-    `_kept` is the one memo of derived results. `link._pair_values` fills
-    ``_kept["link"][mode]`` with the strength table and its transpose;
-    `oracle._stable_marriages` fills ``_kept["search"][notion]`` with
-    ``(alpha, marriages)``, the last search of that notion, so an instance
-    keeps at most two tables and four searches. `n`, `men_scores` and
-    `women_scores` alone decide ``==``, ``hash``, ``repr`` and pickling: a
-    pickled instance carries no kept results.
+    `_kept`, a slot outside the fields, is the one memo of derived
+    results; a record has no ``__dict__``, so keeping them slows no
+    attribute load. `link._pair_values` fills ``_kept["link"][mode]`` with
+    the strength table and its transpose; `oracle._stable_marriages` fills
+    ``_kept["search"][notion]`` with ``(alpha, marriages)``, the last
+    search of that notion, so an instance keeps at most two tables and
+    four searches. ``==``, ``hash``, ``repr`` and pickling read the fields
+    alone, so a pickled instance carries no kept results.
     """
 
-    n: int
-    men_scores: Matrix
-    women_scores: Matrix
+    _fields = ("n", "men_scores", "women_scores")
+    __slots__ = (*_fields, "_kept")
 
-    # A field, not a cached_property: the property would write through
-    # __dict__, and a materialized __dict__ makes every attribute load of the
-    # instance slower (about 4x on CPython 3.11). One section
-    # per filler; str keys hash once, where tuple keys rehash on every lookup.
-    _kept: dict = field(default_factory=lambda: {"link": {}, "search": {}},
-                        init=False, repr=False, compare=False)
-
-    def __reduce__(self):
-        return QuantInstance, (self.n, self.men_scores, self.women_scores)
+    def __init__(self, n: int, men_scores: Matrix, women_scores: Matrix):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "men_scores", men_scores)
+        object.__setattr__(self, "women_scores", women_scores)
+        # one section per filler; str keys hash once, tuple keys on every lookup
+        object.__setattr__(self, "_kept", {"link": {}, "search": {}})
 
 
-@dataclass(frozen=True)
-class StrictProfile:
+class StrictProfile(_Record):
     """Strict preference lists, most preferred first; the form every
     deferred-acceptance run consumes."""
 
-    men_prefs: Matrix
-    women_prefs: Matrix
+    __slots__ = _fields = ("men_prefs", "women_prefs")
+
+    def __init__(self, men_prefs: Matrix, women_prefs: Matrix):
+        object.__setattr__(self, "men_prefs", men_prefs)
+        object.__setattr__(self, "women_prefs", women_prefs)
 
 
-@dataclass(frozen=True)
-class ScoredProfile:
+class ScoredProfile(_Record):
     """Preferences as values: men_scores[i][j] is man i's value for woman j,
     women_scores[i][j] woman i's value for man j. Higher is preferred, and
     equal values go to the lower index: the order :func:`derive_classical`
     lists. Deferred acceptance reads the receivers' rows as they stand."""
 
-    men_scores: Matrix
-    women_scores: Matrix
+    __slots__ = _fields = ("men_scores", "women_scores")
+
+    def __init__(self, men_scores: Matrix, women_scores: Matrix):
+        object.__setattr__(self, "men_scores", men_scores)
+        object.__setattr__(self, "women_scores", women_scores)
 
 
-@dataclass(frozen=True)
-class Marriage:
+class Marriage(_Record):
     """A perfect matching; partner_of_man[i] is the woman married to man i."""
 
-    partner_of_man: tuple[int, ...]
+    __slots__ = _fields = ("partner_of_man",)
+
+    def __init__(self, partner_of_man: tuple[int, ...]):
+        object.__setattr__(self, "partner_of_man", partner_of_man)
 
     def inverse(self) -> tuple[int, ...]:
         """partner_of_woman: entry j is the man married to woman j."""
@@ -132,14 +164,16 @@ class Marriage:
 PairList = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class WeakProfile:
+class WeakProfile(_Record):
     """Preference lists with ties: each entry is a (candidate, value) list
     sorted by descending value, ascending candidate index within equal values.
     Equal values denote indifference."""
 
-    men_values: tuple[PairList, ...]
-    women_values: tuple[PairList, ...]
+    __slots__ = _fields = ("men_values", "women_values")
+
+    def __init__(self, men_values: tuple[PairList, ...], women_values: tuple[PairList, ...]):
+        object.__setattr__(self, "men_values", men_values)
+        object.__setattr__(self, "women_values", women_values)
 
     @property
     def n(self) -> int:

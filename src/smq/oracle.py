@@ -21,10 +21,9 @@ one search per notion (and alpha) instead of each running its own.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .alpha import SemiorderProfile, TotalOrder
-from .instances import Marriage, QuantInstance, WeakProfile
+from .instances import Marriage, QuantInstance, WeakProfile, _Record
 from .link import _check_mode, marriage_link
 from .stability import _check_notion, _pair_values, dominates, is_stable, lex_key
 
@@ -35,22 +34,26 @@ class SizeBoundError(ValueError):
     """Instance too large for exhaustive enumeration."""
 
 
-@dataclass(frozen=True)
-class StableEntry:
-    marriage: Marriage
-    undominated: bool
-    link_add: int
-    link_max: int
+class StableEntry(_Record):
+    __slots__ = _fields = ("marriage", "undominated", "link_add", "link_max")
+
+    def __init__(self, marriage: Marriage, undominated: bool, link_add: int, link_max: int):
+        object.__setattr__(self, "marriage", marriage)
+        object.__setattr__(self, "undominated", undominated)
+        object.__setattr__(self, "link_add", link_add)
+        object.__setattr__(self, "link_max", link_max)
 
 
-@dataclass(frozen=True)
-class StableSet:
+class StableSet(_Record):
     """All marriages stable under one notion, in lexicographic match order,
     annotated with dominance flags and both aggregate link strengths."""
 
-    notion: str
-    alpha: int | None
-    entries: tuple[StableEntry, ...]
+    __slots__ = _fields = ("notion", "alpha", "entries")
+
+    def __init__(self, notion: str, alpha: int | None, entries: tuple[StableEntry, ...]):
+        object.__setattr__(self, "notion", notion)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "entries", entries)
 
     def marriages(self) -> list[Marriage]:
         return [e.marriage for e in self.entries]

@@ -12,29 +12,31 @@ witness for each pair it reports from the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import link
-from .instances import Marriage, QuantInstance, _misfit
+from .instances import Marriage, QuantInstance, _misfit, _Record
 
 NOTIONS = ("classical", "alpha", "link-add", "link-max")
 
 
-@dataclass(frozen=True)
-class BlockingPair:
-    man: int
-    woman: int
-    witness: dict[str, int]
+class BlockingPair(_Record):
+    __slots__ = _fields = ("man", "woman", "witness")
+
+    def __init__(self, man: int, woman: int, witness: dict[str, int]):
+        object.__setattr__(self, "man", man)
+        object.__setattr__(self, "woman", woman)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class BlockingReport:
+class BlockingReport(_Record):
     """Pairs that violate one stability notion for one marriage; empty pairs
     means the marriage is stable under that notion."""
 
-    notion: str
-    alpha: int | None
-    pairs: tuple[BlockingPair, ...]
+    __slots__ = _fields = ("notion", "alpha", "pairs")
+
+    def __init__(self, notion: str, alpha: int | None, pairs: tuple[BlockingPair, ...]):
+        object.__setattr__(self, "notion", notion)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def stable(self) -> bool:

@@ -1,7 +1,10 @@
-"""The package depends on nothing outside the standard library, and every
-public name has a reader outside the tests."""
+"""The package depends on nothing outside the standard library, starts
+without the heavy parts of it, and every public name has a reader outside
+the tests."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,6 +16,7 @@ SRC = ROOT / "src" / "smq"
 
 def test_src_imports_only_the_standard_library_and_smq():
     outside = []
+    heavy = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -25,7 +29,20 @@ def test_src_imports_only_the_standard_library_and_smq():
                 top = name.partition(".")[0]
                 if top != "smq" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno} {name}")
+                if top == "dataclasses":
+                    heavy.append(f"{path.name}:{node.lineno} {name}")
     assert not outside, outside
+    assert not heavy, heavy
+
+
+def test_the_cli_starts_without_dataclasses_inspect_or_a_process_pool():
+    # dataclasses imports inspect and generates each class's methods with
+    # exec; concurrent.futures is imported only when --jobs asks for workers
+    code = "import sys, smq.cli; print(*sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    loaded = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert {"dataclasses", "inspect", "concurrent.futures"}.isdisjoint(loaded)
 
 
 def test_every_public_name_is_read_outside_the_tests():
