@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 
 from .gale_shapley import gs
-from .instances import Marriage, QuantInstance, StrictProfile, _rank_row, _Record
+from .instances import Marriage, QuantInstance, StrictProfile, _rank_rows, _Record
 from .stability import _check_notion
 
 TotalOrder = tuple[int, ...]
@@ -81,7 +81,7 @@ def score_totals(ballots) -> list[int]:
 def score_sum_rule(ballots) -> TotalOrder:
     """Rank candidates by descending total received score; equal totals are
     broken by ascending candidate index."""
-    return _rank_row(score_totals(ballots))
+    return _rank_rows((score_totals(ballots),))[0]
 
 
 def popularity_orders(instance: QuantInstance, rule=score_sum_rule):
@@ -112,17 +112,16 @@ def linearize(
     men_rank = {m: r for r, m in enumerate(men_order)}
     women_rank = {w: r for r, w in enumerate(women_order)}
     alpha = semiorder.alpha
-    men_prefs = tuple(
-        _sweep(row, alpha, women_rank) for row in semiorder.instance.men_scores
-    )
-    women_prefs = tuple(
-        _sweep(row, alpha, men_rank) for row in semiorder.instance.women_scores
-    )
+    scores = semiorder.instance._kept["tables"]["scores"]
+    men_prefs = tuple(_sweep(row, by_score, alpha, women_rank)
+                      for row, by_score in zip(scores.men_scores, scores._ranking("men")))
+    women_prefs = tuple(_sweep(row, by_score, alpha, men_rank)
+                        for row, by_score in zip(scores.women_scores, scores._ranking("women")))
     return StrictProfile(men_prefs, women_prefs)
 
 
-def _sweep(row: tuple[int, ...], alpha: int, guide_rank: dict[int, int]) -> tuple[int, ...]:
-    by_score = _rank_row(row)
+def _sweep(row: tuple[int, ...], by_score: tuple[int, ...], alpha: int,
+           guide_rank: dict[int, int]) -> tuple[int, ...]:
     emitted = [False] * len(row)
     heap: list[tuple[int, int]] = []
     top = entered = 0  # by_score[top] scores M; by_score[entered:] are not in the heap

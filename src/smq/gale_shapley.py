@@ -8,7 +8,7 @@ link solvers hand :func:`gs` the values they already hold, as a
 
 from __future__ import annotations
 
-from .instances import Marriage, ScoredProfile, StrictProfile, _rank_row, _Record
+from .instances import Marriage, ScoredProfile, StrictProfile, _Record
 
 
 class Proposal(_Record):
@@ -37,7 +37,8 @@ def gs(profile: StrictProfile | ScoredProfile, proposing_side: str = "men") -> M
     higher values are preferred and equal values go to the lower index, the
     order :func:`derive_classical` and :func:`link_transform` list. The
     receivers of a ``ScoredProfile`` compare values as they stand; only the
-    proposers' rows are ranked.
+    proposers' rows are ranked, once per profile; the lists of
+    :func:`derive_classical` are read through the scores they rank.
 
     Every proposer starts free and proposes down his list; a proposee keeps
     the best proposer seen so far and releases the other. With men proposing
@@ -73,17 +74,15 @@ def step_trace(profile: StrictProfile | ScoredProfile,
 
 def _sides(profile: StrictProfile | ScoredProfile, proposing_side: str):
     """(proposer lists, receiver value rows) for the proposing side."""
-    scored = isinstance(profile, ScoredProfile)
-    men, women = ((profile.men_scores, profile.women_scores) if scored
-                  else (profile.men_prefs, profile.women_prefs))
-    if proposing_side == "men":
-        proposers, receivers = men, women
-    elif proposing_side == "women":
-        proposers, receivers = women, men
-    else:
+    if proposing_side not in ("men", "women"):
         raise ValueError(f"proposing_side must be 'men' or 'women', got {proposing_side!r}")
-    if scored:
-        return tuple(map(_rank_row, proposers)), receivers
+    men = proposing_side == "men"
+    if isinstance(profile, StrictProfile) and profile._source is not None:
+        profile = profile._source  # its rankings are the lists
+    if isinstance(profile, ScoredProfile):
+        return profile._ranking(proposing_side), profile.women_scores if men else profile.men_scores
+    proposers, receivers = ((profile.men_prefs, profile.women_prefs) if men
+                            else (profile.women_prefs, profile.men_prefs))
     # a strict list as values: row[q] = n - 1 - position of q, higher preferred
     values = []
     for prefs in receivers:

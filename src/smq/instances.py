@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from itertools import chain
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -99,12 +100,14 @@ class QuantInstance(_Record):
 
     `_kept`, a slot outside the fields, is the one memo of derived
     results; a record has no ``__dict__``, so keeping them slows no
-    attribute load. `link._pair_values` fills ``_kept["link"][mode]`` with
-    the strength table and its transpose; `oracle._stable_marriages` fills
-    ``_kept["search"][notion]`` with ``(alpha, marriages)``, the last
-    search of that notion, so an instance keeps at most two tables and
-    four searches. ``==``, ``hash``, ``repr`` and pickling read the fields
-    alone, so a pickled instance carries no kept results.
+    attribute load. ``_kept["tables"]`` holds one :class:`ScoredProfile`
+    per value table, whose rankings every reader shares: the scores, for
+    the classical and alpha paths, and `link._strengths` of each mode.
+    `oracle._stable_marriages` fills ``_kept["search"][notion]`` with
+    ``(alpha, marriages)``, the last search of that notion, so an instance
+    keeps at most three tables and four searches. ``==``, ``hash``,
+    ``repr`` and pickling read the fields alone, so a pickled instance
+    carries no kept results.
     """
 
     _fields = ("n", "men_scores", "women_scores")
@@ -114,32 +117,53 @@ class QuantInstance(_Record):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "men_scores", men_scores)
         object.__setattr__(self, "women_scores", women_scores)
+        scores = ScoredProfile(men_scores, women_scores)
         # one section per filler; str keys hash once, tuple keys on every lookup
-        object.__setattr__(self, "_kept", {"link": {}, "search": {}})
+        object.__setattr__(self, "_kept", {"tables": {"scores": scores}, "search": {}})
 
 
 class StrictProfile(_Record):
     """Strict preference lists, most preferred first; the form every
-    deferred-acceptance run consumes."""
+    deferred-acceptance run consumes.
 
-    __slots__ = _fields = ("men_prefs", "women_prefs")
+    `_source`, a slot outside the fields, holds the :class:`ScoredProfile`
+    whose rankings :func:`derive_classical` listed, so that deferred
+    acceptance reads its values instead of inverting the lists."""
+
+    _fields = ("men_prefs", "women_prefs")
+    __slots__ = (*_fields, "_source")
 
     def __init__(self, men_prefs: Matrix, women_prefs: Matrix):
         object.__setattr__(self, "men_prefs", men_prefs)
         object.__setattr__(self, "women_prefs", women_prefs)
+        object.__setattr__(self, "_source", None)
 
 
 class ScoredProfile(_Record):
     """Preferences as values: men_scores[i][j] is man i's value for woman j,
     women_scores[i][j] woman i's value for man j. Higher is preferred, and
     equal values go to the lower index: the order :func:`derive_classical`
-    lists. Deferred acceptance reads the receivers' rows as they stand."""
+    lists. Deferred acceptance reads the receivers' rows as they stand.
 
-    __slots__ = _fields = ("men_scores", "women_scores")
+    `_ranked`, a slot outside the fields that ``==``, ``hash``, ``repr``
+    and pickling ignore, keeps each side's rankings in that order once a
+    reader asks (:meth:`_ranking`), so the rows must never be mutated."""
+
+    _fields = ("men_scores", "women_scores")
+    __slots__ = (*_fields, "_ranked")
 
     def __init__(self, men_scores: Matrix, women_scores: Matrix):
         object.__setattr__(self, "men_scores", men_scores)
         object.__setattr__(self, "women_scores", women_scores)
+        object.__setattr__(self, "_ranked", {})
+
+    def _ranking(self, side: str) -> Matrix:
+        """Every row of one side ("men" or "women") ranked by :func:`_rank_rows`."""
+        ranked = self._ranked.get(side)
+        if ranked is None:
+            rows = self.men_scores if side == "men" else self.women_scores
+            ranked = self._ranked[side] = _rank_rows(rows)
+        return ranked
 
 
 class Marriage(_Record):
@@ -200,15 +224,15 @@ def validate(n, men_scores, women_scores) -> QuantInstance:
 def _checked_matrix(side: str, n: int, rows) -> Matrix:
     if not isinstance(rows, (list, tuple)) or len(rows) != n:
         raise NonSquareError(f"{side} matrix must have {n} rows")
+    # n rows of n distinct non-negative plain ints pass on C-level checks of
+    # the whole matrix. Any other matrix, faulty or holding int subclasses,
+    # takes the per-cell loop, which accepts it or names the first fault.
+    if (set(map(type, rows)) <= {list, tuple} and set(map(len, rows)) == {n}
+            and set(map(type, chain.from_iterable(rows))) == {int}
+            and min(map(min, rows)) >= 0 and set(map(len, map(set, rows))) == {n}):
+        return tuple(map(tuple, rows))
     out = []
     for person, row in enumerate(rows):
-        # A row of n distinct non-negative plain ints passes on C-level checks
-        # alone. Any other row, faulty or holding int subclasses, takes the
-        # per-cell loop, which accepts or names the first fault in order.
-        if (isinstance(row, (list, tuple)) and len(row) == n
-                and set(map(type, row)) == {int} and min(row) >= 0 and len(set(row)) == n):
-            out.append(tuple(row))
-            continue
         if not isinstance(row, (list, tuple)) or len(row) != n:
             raise NonSquareError(f"{side} row {person + 1} must have {n} entries")
         seen: dict[int, int] = {}
@@ -231,17 +255,19 @@ def _checked_matrix(side: str, n: int, rows) -> Matrix:
 def derive_classical(instance: QuantInstance) -> StrictProfile:
     """Keep only the orderings the scores induce: each list is sorted by
     strictly decreasing own score."""
-    return StrictProfile(
-        men_prefs=tuple(_rank_row(row) for row in instance.men_scores),
-        women_prefs=tuple(_rank_row(row) for row in instance.women_scores),
-    )
+    scores = instance._kept["tables"]["scores"]
+    profile = StrictProfile(scores._ranking("men"), scores._ranking("women"))
+    object.__setattr__(profile, "_source", scores)
+    return profile
 
 
-def _rank_row(row: tuple[int, ...] | list[int]) -> tuple[int, ...]:
-    """Indices of the row by descending value, equal values by ascending
+def _rank_rows(rows) -> Matrix:
+    """Indices of each row by descending value, equal values by ascending
     index: the one ranking rule every derived list follows. sorted() is
-    stable under reverse=True, so equal values keep their index order."""
-    return tuple(sorted(range(len(row)), key=row.__getitem__, reverse=True))
+    stable under reverse=True, so equal values keep their index order. The
+    rows sort one shared index tuple, so rankings hold no ints of their own."""
+    index = tuple(range(len(rows[0]) if rows else 0))
+    return tuple([tuple(sorted(index, key=row.__getitem__, reverse=True)) for row in rows])
 
 
 def make_marriage(values) -> Marriage:

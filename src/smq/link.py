@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 
 from .gale_shapley import gs
-from .instances import Marriage, QuantInstance, ScoredProfile, WeakProfile, _misfit, _rank_row
+from .instances import Marriage, QuantInstance, ScoredProfile, WeakProfile, _misfit
 
 MODES = ("add", "max")
 
@@ -49,17 +49,25 @@ def link_transform(instance: QuantInstance, mode: str) -> WeakProfile:
     Both members of a pair carry the identical value, so ties are common;
     rows are sorted by descending value, ascending candidate index.
     """
-    values, transpose = _pair_values(instance, mode)
-    ranked = lambda rows: tuple(tuple((c, row[c]) for c in _rank_row(row)) for row in rows)
-    return WeakProfile(ranked(values), ranked(transpose))
+    profile = _strengths(instance, mode)
+    ranked = lambda rows, side: tuple(tuple((c, row[c]) for c in order)
+                                      for row, order in zip(rows, profile._ranking(side)))
+    return WeakProfile(ranked(profile.men_scores, "men"), ranked(profile.women_scores, "women"))
 
 
 def _pair_values(instance: QuantInstance, mode: str) -> tuple[list[list[int]], list[tuple]]:
     """(values, transpose): values[m][w] = transpose[w][m] = strength of
-    (m, w). Built once per instance and mode and kept on the instance; every
-    reader shares it, so none may mutate it."""
+    (m, w), the fields of :func:`_strengths`."""
+    profile = _strengths(instance, mode)
+    return profile.men_scores, profile.women_scores
+
+
+def _strengths(instance: QuantInstance, mode: str) -> ScoredProfile:
+    """The pair strengths as a :class:`ScoredProfile` of (values,
+    transpose). Built once per instance and mode and kept on the instance
+    with its rankings; every reader shares it, so none may mutate it."""
     _check_mode(mode)
-    tables = instance._kept["link"]
+    tables = instance._kept["tables"]
     if mode not in tables:
         # zip(*women_scores) yields the women's columns, one per man
         rows = zip(instance.men_scores, zip(*instance.women_scores))
@@ -70,7 +78,7 @@ def _pair_values(instance: QuantInstance, mode: str) -> tuple[list[list[int]], l
             # the builtin max() per pair costs more than the comparison itself
             values = [[a if a > b else b for a, b in zip(men_row, women_column)]
                       for men_row, women_column in rows]
-        tables[mode] = values, list(zip(*values))
+        tables[mode] = ScoredProfile(values, list(zip(*values)))
     return tables[mode]
 
 
@@ -91,12 +99,11 @@ def link_stable_gs(instance: QuantInstance, mode: str) -> Marriage:
 
     Every person prefers higher pair strength, equal strengths by ascending
     candidate index: the order in which :func:`link_transform` lists each
-    row. Only the men's rows are ranked; the women compare strengths as
-    they stand.
+    row. Only the men's rows are ranked, once per instance and mode; the
+    women compare strengths as they stand.
 
     The output is always link-stable for the chosen mode. When the
     transformed profile has no ties it is additionally the unique link-stable
     marriage with the highest aggregate strength.
     """
-    values, transpose = _pair_values(instance, mode)
-    return gs(ScoredProfile(values, transpose), "men")
+    return gs(_strengths(instance, mode), "men")

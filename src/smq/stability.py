@@ -5,15 +5,17 @@ One table, :func:`_pair_values`, states the blocking rule of all four
 notions: classical stability is the score-gap test at gap 1, and the two
 link notions are the same test at gap 1 on the pair-strength table that
 :mod:`smq.link` keeps on the instance. One private scan, :func:`_blocks`,
-runs that test for every notion: :func:`is_stable` stops it at the first
-blocking pair; :func:`blocking_pairs` runs it to the end and reads a
-witness for each pair it reports from the table.
+runs that test for every notion, walking each man's kept ranking only as
+far as the women he prefers to his partner (so a lone audit of a fresh
+instance pays for one ranking): :func:`is_stable` stops it at the first
+blocking pair; :func:`blocking_pairs` runs it to the end, sorts what it
+found, and reads a witness for each pair it reports from the table.
 """
 
 from __future__ import annotations
 
 from . import link
-from .instances import Marriage, QuantInstance, _misfit, _Record
+from .instances import Marriage, QuantInstance, ScoredProfile, _misfit, _Record
 
 NOTIONS = ("classical", "alpha", "link-add", "link-max")
 
@@ -62,6 +64,13 @@ def _check_notion(notion: str, alpha: int | None) -> None:
         raise ValueError(f"alpha does not apply to notion {notion!r}")
 
 
+def _table(instance: QuantInstance, notion: str, alpha: int | None) -> tuple[ScoredProfile, int]:
+    """(profile, g): the kept :class:`ScoredProfile` (U, W) of :func:`_pair_values`."""
+    if notion == "classical" or notion == "alpha":
+        return instance._kept["tables"]["scores"], 1 if notion == "classical" else alpha
+    return link._strengths(instance, notion.removeprefix("link-")), 1
+
+
 def _pair_values(instance: QuantInstance, notion: str, alpha: int | None):
     """(U, W, g) such that, under the notion, (m, w) blocks a marriage exactly
     when U[m][w] >= U[m][w'] + g and W[w][m] >= W[w][m'] + g, where w' is m's
@@ -69,32 +78,36 @@ def _pair_values(instance: QuantInstance, notion: str, alpha: int | None):
     matrices themselves for the gap notions, with g = 1 (scores are integers,
     so a strict preference is a gain of at least 1) or alpha; the strength
     matrix and its transpose for the link notions, with g = 1."""
-    if notion == "classical" or notion == "alpha":
-        return instance.men_scores, instance.women_scores, 1 if notion == "classical" else alpha
-    return (*link._pair_values(instance, notion.removeprefix("link-")), 1)
+    profile, g = _table(instance, notion, alpha)
+    return profile.men_scores, profile.women_scores, g
 
 
-def _blocks(U, W, g: int, match: tuple[int, ...], first_only: bool) -> list[tuple[int, int]]:
+def _blocks(profile: ScoredProfile, g: int, match: tuple[int, ...],
+            first_only: bool) -> list[tuple[int, int]]:
     """The pairs (m, w) that block the marriage `match` under the table
-    (U, W, g) of :func:`_pair_values`, in ascending order, or only the first.
+    (U, W, g) of :func:`_table`, in ascending order, or just one of them.
 
     A pair blocks when its value for the man reaches a bound fixed by his
     current pairing and its value for the woman reaches a bound fixed by
-    hers, so each bound is computed once per person.
+    hers, so each bound is computed once per person. Each man's row is
+    walked best first along his kept ranking, up to the first woman below
+    his bound: of a stable man's row, only the women he would rather have.
     """
-    n = len(U)
+    U, W = profile.men_scores, profile.women_scores
     found: list[tuple[int, int]] = []
-    woman_needs = [0] * n
+    woman_needs = [0] * len(U)
     for m, w in enumerate(match):
         woman_needs[w] = W[w][m] + g
-    for m in range(n):
-        row = U[m]
+    for m, (row, ranked) in enumerate(zip(U, profile._ranking("men"))):
         man_needs = row[match[m]] + g
-        for w in range(n):
-            if row[w] >= man_needs and W[w][m] >= woman_needs[w]:
+        for w in ranked:
+            if row[w] < man_needs:
+                break
+            if W[w][m] >= woman_needs[w]:
                 if first_only:
                     return [(m, w)]
                 found.append((m, w))
+    found.sort()
     return found
 
 
@@ -133,11 +146,12 @@ def blocking_pairs(
     match = marriage.partner_of_man
     if len(match) != instance.n or not set(match).issuperset(range(instance.n)):
         raise _misfit(instance, marriage)
-    U, W, g = _pair_values(instance, notion, alpha)
+    profile, g = _table(instance, notion, alpha)
+    U, W = profile.men_scores, profile.women_scores
     inverse = marriage.inverse()
     return BlockingReport(notion, alpha, tuple(
         BlockingPair(m, w, _witness(U, W, notion, m, w, match[m], inverse[w]))
-        for m, w in _blocks(U, W, g, match, False)
+        for m, w in _blocks(profile, g, match, False)
     ))
 
 
@@ -154,7 +168,7 @@ def is_stable(
     match = marriage.partner_of_man
     if len(match) != instance.n or not set(match).issuperset(range(instance.n)):
         raise _misfit(instance, marriage)
-    return not _blocks(*_pair_values(instance, notion, alpha), match, True)
+    return not _blocks(*_table(instance, notion, alpha), match, True)
 
 
 def dominates(instance: QuantInstance, first: Marriage, second: Marriage) -> bool:

@@ -43,10 +43,10 @@ def instances_with_marriage(draw, min_n=1, max_n=5, max_score=12):
 
 
 @st.composite
-def tie_heavy_instances(draw, min_n=1):
+def tie_heavy_instances(draw, min_n=1, max_n=8):
     # scores from 0..n+3 leave each row at most four unused values, so equal
     # pair strengths, and with them the index tie-break, are common
-    n = draw(st.integers(min_n, 8))
+    n = draw(st.integers(min_n, max_n))
     return draw(instances(min_n=n, max_n=n, max_score=n + 3))
 
 

@@ -1,6 +1,6 @@
 """The package depends on nothing outside the standard library, starts
-without the heavy parts of it, and every public name has a reader outside
-the tests."""
+without the heavy parts of it, keeps no memo in a module-level cache, and
+every public name has a reader outside the tests."""
 
 import ast
 import os
@@ -14,11 +14,23 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "smq"
 
 
+# Derived results live on the records they derive from, so they never
+# travel with a pickle and never outlive their record in a module cache.
+MEMOIZERS = {"lru_cache", "cache", "cached_property"}
+
+
 def test_src_imports_only_the_standard_library_and_smq():
     outside = []
     heavy = []
+    memos = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                memos += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name in MEMOIZERS or alias.name == "*"]
+            elif isinstance(node, ast.Attribute) and node.attr in MEMOIZERS:
+                # functools.cache, or the same through any alias of functools
+                memos.append(f"{path.name}:{node.lineno} .{node.attr}")
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -33,6 +45,7 @@ def test_src_imports_only_the_standard_library_and_smq():
                     heavy.append(f"{path.name}:{node.lineno} {name}")
     assert not outside, outside
     assert not heavy, heavy
+    assert not memos, memos
 
 
 def test_the_cli_starts_without_dataclasses_inspect_or_a_process_pool():

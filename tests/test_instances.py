@@ -33,7 +33,9 @@ def matrices_with_a_fault(draw):
     elif fault == "extra row":
         rows.append(draw(row))
     elif fault == "not a row":
-        rows[r] = draw(st.sampled_from(["abc", None, 7, {"0": 1}]))
+        # the last three hold n distinct scores, but are neither list nor tuple
+        rows[r] = draw(st.sampled_from(["abc", None, 7, {"0": 1},
+                                        set(cells), dict.fromkeys(cells), range(n)]))
     elif fault == "short row":
         del cells[c]
     elif fault == "long row":

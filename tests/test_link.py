@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smq
-from conftest import P_A, P_C, instances, instances_with_marriage, tie_heavy_instances
+from conftest import P_A, P_C, alphas, instances, instances_with_marriage, tie_heavy_instances
 from references import (
+    reference_blocking_pairs,
     reference_link_stable_gs,
     reference_link_transform,
     reference_linearize_weak,
@@ -188,6 +189,42 @@ def test_kept_tables_answer_as_a_fresh_instance_does(case, data):
         fresh = smq.QuantInstance(inst.n, inst.men_scores, inst.women_scores)
         read = TABLE_READERS[name]
         assert read(inst, marriage, mode) == read(fresh, marriage, mode), (name, mode)
+
+
+# The public calls that read a kept ranking, by name.
+RANKING_READERS = {
+    "derive_classical": lambda q, alpha: smq.derive_classical(q),
+    "gs men": lambda q, alpha: smq.gs(smq.derive_classical(q), "men"),
+    "gs women": lambda q, alpha: smq.gs(smq.derive_classical(q), "women"),
+    "link_stable_gs add": lambda q, alpha: smq.link_stable_gs(q, "add"),
+    "link_stable_gs max": lambda q, alpha: smq.link_stable_gs(q, "max"),
+    "lex_male_alpha_gs": lambda q, alpha: smq.lex_male_alpha_gs(q, alpha),
+    "link_transform add": lambda q, alpha: smq.link_transform(q, "add"),
+    "link_transform max": lambda q, alpha: smq.link_transform(q, "max"),
+}
+# scores from 0..k with k close to n tie the larger of two scores often
+tied_markets = st.integers(5, 9).flatmap(lambda k: instances_with_marriage(max_n=6, max_score=k))
+
+
+@given(st.one_of(tied_markets, instances_with_marriage(max_n=6)), alphas, st.data())
+def test_kept_rankings_answer_as_a_fresh_instance_does(case, alpha, data):
+    inst, marriage = case
+    audits = [(audit, notion) for audit in ("blocking_pairs", "is_stable")
+              for notion in smq.stability.NOTIONS]
+    for call in data.draw(st.permutations([*RANKING_READERS, *audits])):
+        fresh = smq.QuantInstance(inst.n, inst.men_scores, inst.women_scores)
+        if call in RANKING_READERS:
+            read = RANKING_READERS[call]
+            assert read(inst, alpha) == read(fresh, alpha), call
+            continue
+        audit, notion = call
+        a = alpha if notion == "alpha" else None
+        expected = reference_blocking_pairs(inst, marriage, notion, a)
+        if audit == "is_stable":
+            assert smq.is_stable(inst, marriage, notion, a) == (not expected), call
+        else:
+            report = smq.blocking_pairs(inst, marriage, notion, a)
+            assert [(p.man, p.woman, p.witness) for p in report.pairs] == expected, call
 
 
 def test_kept_tables_leave_identity_alone():

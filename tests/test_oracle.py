@@ -97,6 +97,22 @@ def test_forward_checking_matches_the_pairwise_scan(inst, alpha):
     assert all(verdicts)
 
 
+@given(tie_heavy_instances(min_n=6, max_n=9), alphas)
+@settings(max_examples=15)
+def test_the_uncertified_search_matches_the_pairwise_scan(inst, alpha):
+    # with the certification accepting every complete match, only the pair
+    # masks keep non-members out, and the reference must still agree; the
+    # reference's part for one first woman is its slice of the whole
+    with patch.object(oracle, "is_stable", lambda *args: True):
+        for notion in NOTIONS:
+            a = alpha if notion == "alpha" else None
+            expected = reference_pruned_scan(inst, notion, a)
+            assert [m.partner_of_man for m in _scan(inst, notion, a)] == expected, notion
+            for first in range(inst.n):
+                part = [m.partner_of_man for m in _scan(inst, notion, a, first)]
+                assert part == [m for m in expected if m[0] == first], (notion, first)
+
+
 @pytest.mark.parametrize("n", [1, 9, 10])
 def test_forward_checking_matches_the_pairwise_scan_above_the_bound(n):
     # n = 1 has no later man to cut on; at n = 9 and 10 the n*n bits of a

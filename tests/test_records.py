@@ -101,8 +101,30 @@ def test_records_compare_by_class_and_fields():
 
 def test_kept_results_stay_out_of_the_record():
     inst = smq.QuantInstance(P_B.n, P_B.men_scores, P_B.women_scores)
-    empty = {"link": {}, "search": {}}
+    empty = smq.QuantInstance(P_B.n, P_B.men_scores, P_B.women_scores)._kept
     smq.enumerate_stable(inst, "link-add")
+    smq.gs(smq.derive_classical(inst), "women")
     assert inst._kept != empty
     assert inst == P_B and hash(inst) == hash(P_B) and repr(inst) == repr(P_B)
-    assert pickle.loads(pickle.dumps(inst))._kept == empty
+    clone = pickle.loads(pickle.dumps(inst))
+    # the kept profiles compare by their fields, so look at the rankings too
+    assert clone._kept == empty and not clone._kept["tables"]["scores"]._ranked
+
+
+def test_kept_rankings_stay_out_of_the_profiles():
+    # a ScoredProfile keeps its rankings, and derive_classical's lists keep
+    # the scores they rank; neither shows in ==, hash, repr or a pickle
+    scored = smq.ScoredProfile(P_B.men_scores, P_B.women_scores)
+    ranked = smq.derive_classical(smq.QuantInstance(P_B.n, P_B.men_scores, P_B.women_scores))
+    plain = smq.StrictProfile(ranked.men_prefs, ranked.women_prefs)
+    for side in ("men", "women"):
+        smq.gs(scored, side)
+        smq.gs(ranked, side)
+    assert scored._ranked and ranked._source is not None and ranked._source._ranked
+    for profile, twin in ((scored, smq.ScoredProfile(P_B.men_scores, P_B.women_scores)),
+                          (ranked, plain)):
+        assert profile == twin and hash(profile) == hash(twin) and repr(profile) == repr(twin)
+        clone = pickle.loads(pickle.dumps(profile))
+        assert clone == twin and len(pickle.dumps(profile)) == len(pickle.dumps(twin))
+    assert pickle.loads(pickle.dumps(scored))._ranked == {}
+    assert pickle.loads(pickle.dumps(ranked))._source is None
