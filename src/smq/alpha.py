@@ -14,7 +14,7 @@ import heapq
 
 from .gale_shapley import gs
 from .instances import Marriage, QuantInstance, StrictProfile, _rank_rows, _Record
-from .stability import _check_notion
+from .stability import _check_notion, _table
 
 TotalOrder = tuple[int, ...]
 # A voting rule turns a ballot matrix (ballots[v][c] = voter v's score for
@@ -111,8 +111,7 @@ def linearize(
     """
     men_rank = {m: r for r, m in enumerate(men_order)}
     women_rank = {w: r for r, w in enumerate(women_order)}
-    alpha = semiorder.alpha
-    scores = semiorder.instance._kept["tables"]["scores"]
+    scores, alpha = _table(semiorder.instance, "alpha", semiorder.alpha)
     men_prefs = tuple(_sweep(row, by_score, alpha, women_rank)
                       for row, by_score in zip(scores.men_scores, scores._ranking("men")))
     women_prefs = tuple(_sweep(row, by_score, alpha, men_rank)

@@ -3,13 +3,14 @@
 Machine-readable JSON goes to stdout; human-readable tables are added only
 under --pretty; diagnostics go to stderr. Exit codes: 0 ok, 1 invalid
 instance, 2 bad flags, 3 marriage found unstable by `check`, 4 malformed
---marriage value.
+--marriage value; 0 also when a reader closes stdout early, without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .alpha import alpha_transform, lex_male_alpha_gs
@@ -17,7 +18,6 @@ from .gale_shapley import gs
 from .instances import (
     Marriage,
     QuantInstance,
-    ScoredProfile,
     derive_classical,
     make_marriage,
     man_name,
@@ -101,6 +101,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
+        code = _run(argv)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader stopped early: on devnull, the final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = OK
+    return code
+
+
+def _run(argv) -> int:
+    try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE
@@ -157,7 +168,7 @@ def _cmd_solve(args) -> int:
     alpha = _require_alpha(args, args.notion == "lex-alpha", "--notion lex-alpha")
     if args.notion in ("male", "female"):
         side = "men" if args.notion == "male" else "women"
-        marriage = gs(ScoredProfile(instance.men_scores, instance.women_scores), side)
+        marriage = gs(derive_classical(instance), side)
     elif args.notion == "lex-alpha":
         marriage = lex_male_alpha_gs(instance, alpha)
     else:

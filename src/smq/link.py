@@ -24,11 +24,8 @@ def _check_mode(mode: str) -> None:
 
 
 def link_value(instance: QuantInstance, man: int, woman: int, mode: str) -> int:
-    """Strength of one pair: sum of the two scores for 'add', max for 'max'."""
-    _check_mode(mode)
-    a = instance.men_scores[man][woman]
-    b = instance.women_scores[woman][man]
-    return a + b if mode == "add" else max(a, b)
+    """Strength of one pair, as :func:`_strengths` keeps it: sum for 'add', max for 'max'."""
+    return _strengths(instance, mode).men_scores[man][woman]
 
 
 def marriage_link(instance: QuantInstance, marriage: Marriage, mode: str) -> int:
@@ -38,8 +35,7 @@ def marriage_link(instance: QuantInstance, marriage: Marriage, mode: str) -> int
     match = marriage.partner_of_man
     if len(match) != instance.n:
         raise _misfit(instance, marriage)
-    values, _ = _pair_values(instance, mode)
-    strengths = map(list.__getitem__, values, match)
+    strengths = map(list.__getitem__, _strengths(instance, mode).men_scores, match)
     return sum(strengths) if mode == "add" else max(strengths)
 
 
@@ -53,13 +49,6 @@ def link_transform(instance: QuantInstance, mode: str) -> WeakProfile:
     ranked = lambda rows, side: tuple(tuple((c, row[c]) for c in order)
                                       for row, order in zip(rows, profile._ranking(side)))
     return WeakProfile(ranked(profile.men_scores, "men"), ranked(profile.women_scores, "women"))
-
-
-def _pair_values(instance: QuantInstance, mode: str) -> tuple[list[list[int]], list[tuple]]:
-    """(values, transpose): values[m][w] = transpose[w][m] = strength of
-    (m, w), the fields of :func:`_strengths`."""
-    profile = _strengths(instance, mode)
-    return profile.men_scores, profile.women_scores
 
 
 def _strengths(instance: QuantInstance, mode: str) -> ScoredProfile:

@@ -25,7 +25,7 @@ import itertools
 from .alpha import SemiorderProfile, TotalOrder
 from .instances import Marriage, QuantInstance, WeakProfile, _Record
 from .link import _check_mode, marriage_link
-from .stability import _check_notion, _pair_values, dominates, is_stable, lex_key
+from .stability import _check_notion, _table, dominates, is_stable, lex_key
 
 DEFAULT_SIZE_BOUND = 8
 
@@ -117,11 +117,13 @@ def _scan(
     one of them is set. Each complete match is certified by `is_stable`, so
     a fault in the cut could only drop members.
     """
-    U, W, g = _pair_values(instance, notion, alpha)
+    profile, g = _table(instance, notion, alpha)
+    U, W = profile.men_scores, profile.women_scores
     n = instance.n
     last = n - 1
     full = (1 << n) - 1
-    rep = ((1 << n * n) - 1) // full  # bit m*n for every man m
+    every_pair = (1 << n * n) - 1
+    rep = every_pair // full  # bit m*n for every man m
     low = rep * (full >> 1)  # the low n - 1 bits of every man's field
     top = rep << n - 1  # the top bit of every man's field
     worse: list[int | None] = [None] * (n * n)  # [w*n + i]: the (i, v) man i would leave for w
@@ -130,7 +132,7 @@ def _scan(
     out: list[Marriage] = []
 
     def place(k: int, domain: int) -> None:
-        bits = domain >> k * n & full if k or first is None else 1 << first
+        bits = domain >> k * n & full
         if k == last:  # one woman is left to him
             match[k] = bits.bit_length() - 1
             marriage = Marriage(tuple(match))
@@ -170,7 +172,8 @@ def _scan(
             if (((rest & low) + low) | rest) & hi == hi:
                 place(k + 1, rest)
 
-    place(0, (1 << n * n) - 1)
+    # with `first` given, man 0's field holds that woman alone
+    place(0, every_pair if first is None else every_pair & ~full | 1 << first)
     return out
 
 

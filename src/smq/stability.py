@@ -1,9 +1,9 @@
 """Blocking-pair detection for every stability notion, plus dominance and
 the lexicographic marriage order used by the popularity-guided solver.
 
-One table, :func:`_pair_values`, states the blocking rule of all four
-notions: classical stability is the score-gap test at gap 1, and the two
-link notions are the same test at gap 1 on the pair-strength table that
+One table, :func:`_table`, states the blocking rule of all four notions:
+classical stability is the score-gap test at gap 1, and the two link
+notions are the same test at gap 1 on the pair-strength table that
 :mod:`smq.link` keeps on the instance. One private scan, :func:`_blocks`,
 runs that test for every notion, walking each man's kept ranking only as
 far as the women he prefers to his partner (so a lone audit of a fresh
@@ -65,27 +65,32 @@ def _check_notion(notion: str, alpha: int | None) -> None:
 
 
 def _table(instance: QuantInstance, notion: str, alpha: int | None) -> tuple[ScoredProfile, int]:
-    """(profile, g): the kept :class:`ScoredProfile` (U, W) of :func:`_pair_values`."""
+    """(profile, g) such that, under the notion, (m, w) blocks a marriage
+    exactly when U[m][w] >= U[m][w'] + g and W[w][m] >= W[w][m'] + g, where
+    (U, W) are the profile's rows, w' is m's partner and m' is w's. U is
+    indexed by man and W by woman: the kept scores for the gap notions, with
+    g = 1 (scores are integers, so a strict preference is a gain of at least
+    1) or alpha; the kept strength table and its transpose for the link
+    notions, with g = 1."""
     if notion == "classical" or notion == "alpha":
         return instance._kept["tables"]["scores"], 1 if notion == "classical" else alpha
     return link._strengths(instance, notion.removeprefix("link-")), 1
 
 
-def _pair_values(instance: QuantInstance, notion: str, alpha: int | None):
-    """(U, W, g) such that, under the notion, (m, w) blocks a marriage exactly
-    when U[m][w] >= U[m][w'] + g and W[w][m] >= W[w][m'] + g, where w' is m's
-    partner and m' is w's. U is indexed by man and W by woman: the score
-    matrices themselves for the gap notions, with g = 1 (scores are integers,
-    so a strict preference is a gain of at least 1) or alpha; the strength
-    matrix and its transpose for the link notions, with g = 1."""
-    profile, g = _table(instance, notion, alpha)
-    return profile.men_scores, profile.women_scores, g
+def _audit(instance: QuantInstance, marriage: Marriage, notion: str, alpha: int | None):
+    """(profile, g, match) for both audits, after their checks: a ValueError
+    unless alpha fits the notion and the marriage permutes the women."""
+    _check_notion(notion, alpha)
+    match = marriage.partner_of_man
+    if len(match) != instance.n or not set(match).issuperset(range(instance.n)):
+        raise _misfit(instance, marriage)
+    return *_table(instance, notion, alpha), match
 
 
 def _blocks(profile: ScoredProfile, g: int, match: tuple[int, ...],
             first_only: bool) -> list[tuple[int, int]]:
     """The pairs (m, w) that block the marriage `match` under the table
-    (U, W, g) of :func:`_table`, in ascending order, or just one of them.
+    (profile, g) of :func:`_table`, in ascending order, or just one of them.
 
     A pair blocks when its value for the man reaches a bound fixed by his
     current pairing and its value for the woman reaches a bound fixed by
@@ -112,8 +117,8 @@ def _blocks(profile: ScoredProfile, g: int, match: tuple[int, ...],
 
 
 def _witness(U, W, notion: str, m: int, w: int, w_cur: int, m_cur: int) -> dict[str, int]:
-    """The numbers that certify that (m, w) blocks, read from the table of
-    :func:`_pair_values`; w_cur is m's partner and m_cur is w's."""
+    """The numbers that certify that (m, w) blocks, read from the rows of
+    :func:`_table`; w_cur is m's partner and m_cur is w's."""
     if notion.startswith("link-"):
         return {"link_new": U[m][w], "link_man_current": U[m][w_cur],
                 "link_woman_current": W[w][m_cur]}
@@ -142,11 +147,7 @@ def blocking_pairs(
     reported in ascending (man, woman) order. A ValueError is raised unless
     the marriage is a permutation of the instance's women.
     """
-    _check_notion(notion, alpha)
-    match = marriage.partner_of_man
-    if len(match) != instance.n or not set(match).issuperset(range(instance.n)):
-        raise _misfit(instance, marriage)
-    profile, g = _table(instance, notion, alpha)
+    profile, g, match = _audit(instance, marriage, notion, alpha)
     U, W = profile.men_scores, profile.women_scores
     inverse = marriage.inverse()
     return BlockingReport(notion, alpha, tuple(
@@ -164,11 +165,7 @@ def is_stable(
     """Early-exit stability check; the same scan and checks as
     :func:`blocking_pairs`: a ValueError unless the marriage is a
     permutation of the instance's women."""
-    _check_notion(notion, alpha)
-    match = marriage.partner_of_man
-    if len(match) != instance.n or not set(match).issuperset(range(instance.n)):
-        raise _misfit(instance, marriage)
-    return not _blocks(*_table(instance, notion, alpha), match, True)
+    return not _blocks(*_audit(instance, marriage, notion, alpha), True)
 
 
 def dominates(instance: QuantInstance, first: Marriage, second: Marriage) -> bool:

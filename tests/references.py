@@ -18,7 +18,6 @@ from smq import (
     is_stable,
 )
 from smq.instances import Matrix
-from smq.stability import _pair_values
 
 
 def reference_blocking_pairs(instance, marriage, notion, alpha=None):
@@ -184,7 +183,12 @@ def reference_pruned_scan(
     it. Each complete match is then certified by `is_stable`, so a fault in
     the cut could only drop members, never admit one.
     """
-    U, W, g = _pair_values(instance, notion, alpha)
+    if notion.startswith("link-"):
+        U, W = reference_strengths(instance, notion.removeprefix("link-"))
+        g = 1
+    else:
+        U, W = instance.men_scores, instance.women_scores
+        g = 1 if notion == "classical" else alpha
     n = instance.n
     match = [0] * n
     man_needs = [0] * n  # man j's bound: U[j][match[j]] + g
@@ -263,17 +267,32 @@ def reference_score_sum_rule(ballots):
     return tuple(sorted(range(len(totals)), key=lambda c: (-totals[c], c)))
 
 
+def reference_link_value(instance, man, woman, mode):
+    """Strength of one pair, from the raw scores: their sum ('add') or their
+    maximum ('max')."""
+    a = instance.men_scores[man][woman]
+    b = instance.women_scores[woman][man]
+    return a + b if mode == "add" else max(a, b)
+
+
+def reference_strengths(instance, mode):
+    """(U, W): U[m][w] and W[w][m] are both the strength of the pair (m, w)."""
+    n = instance.n
+    U = [[reference_link_value(instance, m, w, mode) for w in range(n)] for m in range(n)]
+    return U, [[U[m][w] for m in range(n)] for w in range(n)]
+
+
 def reference_link_transform(instance, mode):
-    """Pair strengths by one `link_value` call per pair, each row sorted by
-    descending value, ascending candidate index."""
+    """Pair strengths by one `reference_link_value` call per pair, each row
+    sorted by descending value, ascending candidate index."""
     n = instance.n
     men_values = tuple(
-        tuple(sorted(((w, smq.link_value(instance, m, w, mode)) for w in range(n)),
+        tuple(sorted(((w, reference_link_value(instance, m, w, mode)) for w in range(n)),
                      key=lambda p: (-p[1], p[0])))
         for m in range(n)
     )
     women_values = tuple(
-        tuple(sorted(((m, smq.link_value(instance, m, w, mode)) for m in range(n)),
+        tuple(sorted(((m, reference_link_value(instance, m, w, mode)) for m in range(n)),
                      key=lambda p: (-p[1], p[0])))
         for w in range(n)
     )
@@ -281,8 +300,8 @@ def reference_link_transform(instance, mode):
 
 
 def reference_marriage_link(instance, marriage, mode):
-    """Sum ('add') or maximum ('max') of `link_value` over the marriage's pairs."""
-    values = (smq.link_value(instance, m, w, mode) for m, w in marriage.pairs())
+    """Sum ('add') or maximum ('max') of the pair strengths of the marriage."""
+    values = (reference_link_value(instance, m, w, mode) for m, w in marriage.pairs())
     return sum(values) if mode == "add" else max(values)
 
 

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -418,3 +421,29 @@ def test_any_argv_keeps_the_exit_code_contract(tmp_path_factory, inst, argv):
         code = main(argv)
     assert code in range(5), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+@pytest.mark.parametrize("command", ["gen", "enumerate", "transform"])
+@pytest.mark.parametrize("read_first", [0, 100])
+def test_a_closed_stdout_keeps_the_exit_code_contract(tmp_path, command, read_first):
+    # as in `smq ... | head -c 100`: the reader closes the pipe at once or
+    # after the first 100 bytes; enumerate and transform write far more
+    dense = tmp_path / "dense.json"
+    dense.write_text(smq.serialize_instance(smq.random_instance(8, 5, 8)))
+    wide = tmp_path / "wide.json"
+    wide.write_text(smq.serialize_instance(smq.random_instance(120, 1, 1200)))
+    argv = {
+        "gen": ["gen", "--n", "3", "--seed", "1"],
+        "enumerate": ["enumerate", "--notion", "alpha", "--alpha", "3", "-i", str(dense),
+                      "--pretty"],
+        "transform": ["transform", "--link-add", "-i", str(wide)],
+    }[command]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    with subprocess.Popen([sys.executable, "-m", "smq.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.read(read_first)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert code in range(5), err
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

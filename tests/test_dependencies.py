@@ -1,6 +1,7 @@
 """The package depends on nothing outside the standard library, starts
-without the heavy parts of it, keeps no memo in a module-level cache, and
-every public name has a reader outside the tests."""
+without the heavy parts of it, keeps no memo in a module-level cache, reads
+its kept results only through their accessors, and every public name has a
+reader outside the tests."""
 
 import ast
 import os
@@ -46,6 +47,25 @@ def test_src_imports_only_the_standard_library_and_smq():
     assert not outside, outside
     assert not heavy, heavy
     assert not memos, memos
+
+
+# The functions outside instances.py, its owner, that read the memo of kept
+# results; every other reader goes through them.
+KEPT_READERS = {("link.py", "_strengths"), ("stability.py", "_table"),
+                ("oracle.py", "_stable_marriages")}
+
+
+def test_only_the_accessors_read_the_kept_results():
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "instances.py":
+            continue
+        for scope in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (path.name, getattr(scope, "name", None)) in KEPT_READERS:
+                continue
+            stray += [f"{path.name}:{node.lineno}" for node in ast.walk(scope)
+                      if isinstance(node, ast.Attribute) and node.attr == "_kept"]
+    assert not stray, stray
 
 
 def test_the_cli_starts_without_dataclasses_inspect_or_a_process_pool():

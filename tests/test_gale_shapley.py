@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 import smq
 from conftest import P_A, P_B, instances, tie_heavy_instances
-from references import reference_step_trace, shuffled_deferred_acceptance
-from smq.link import _pair_values
+from references import reference_step_trace, reference_strengths, shuffled_deferred_acceptance
 
 
 def scored(inst):
@@ -91,8 +90,8 @@ def test_scores_as_values_replay_the_ranked_profile(inst, alpha):
     profiles = (
         classical,
         scored(inst),
-        smq.ScoredProfile(*_pair_values(inst, "add")),
-        smq.ScoredProfile(*_pair_values(inst, "max")),
+        smq.ScoredProfile(*reference_strengths(inst, "add")),
+        smq.ScoredProfile(*reference_strengths(inst, "max")),
         smq.linearize(semiorder, *smq.popularity_orders(inst)),
     )
     for side in ("men", "women"):

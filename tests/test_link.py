@@ -11,8 +11,10 @@ from references import (
     reference_blocking_pairs,
     reference_link_stable_gs,
     reference_link_transform,
+    reference_link_value,
     reference_linearize_weak,
     reference_marriage_link,
+    reference_strengths,
 )
 
 # every pair has additive strength 3, so all marriages tie
@@ -61,7 +63,8 @@ def test_transform_is_symmetric_across_sides(inst):
         women = [dict(row) for row in profile.women_values]
         for m in range(inst.n):
             for w in range(inst.n):
-                assert men[m][w] == women[w][m] == smq.link_value(inst, m, w, mode)
+                value = reference_link_value(inst, m, w, mode)
+                assert men[m][w] == women[w][m] == smq.link_value(inst, m, w, mode) == value
 
 
 def test_order_preserving_transform_changes_nothing():
@@ -142,11 +145,8 @@ def test_strengths_as_values_replay_the_linearized_reference(inst):
     # receivers comparing strengths, ties to the lower index, must make the
     # same proposals, in the same order, as receivers ranking the reference
     # lists
-    n = inst.n
     for mode in ("add", "max"):
-        values = tuple(tuple(smq.link_value(inst, m, w, mode) for w in range(n))
-                       for m in range(n))
-        scored = smq.ScoredProfile(values, tuple(zip(*values)))
+        scored = smq.ScoredProfile(*reference_strengths(inst, mode))
         strict = reference_linearize_weak(reference_link_transform(inst, mode))
         for side in ("men", "women"):
             assert smq.step_trace(scored, side) == smq.step_trace(strict, side), (mode, side)
@@ -172,6 +172,8 @@ def test_solvers_at_the_bench_size_match_their_references(max_score):
 # The public calls that read the kept strength table, by name so that a
 # failing call order reads plainly.
 TABLE_READERS = {
+    "link_value": lambda q, marriage, mode: [smq.link_value(q, m, w, mode)
+                                             for m in range(q.n) for w in range(q.n)],
     "link_stable_gs": lambda q, marriage, mode: smq.link_stable_gs(q, mode),
     "link_transform": lambda q, marriage, mode: smq.link_transform(q, mode),
     "marriage_link": lambda q, marriage, mode: smq.marriage_link(q, marriage, mode),
