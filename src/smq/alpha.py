@@ -69,13 +69,8 @@ def alpha_transform(instance: QuantInstance, alpha: int) -> SemiorderProfile:
 
 def score_totals(ballots) -> list[int]:
     """Total score each candidate receives, summed over all voters
-    (column sums of the ballot matrix)."""
-    n = len(ballots)
-    totals = [0] * n
-    for row in ballots:
-        for c, value in enumerate(row):
-            totals[c] += value
-    return totals
+    (column sums of the ballot matrix, one per candidate)."""
+    return [sum(column) for column in zip(*ballots)]
 
 
 def score_sum_rule(ballots) -> TotalOrder:

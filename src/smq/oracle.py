@@ -2,16 +2,18 @@
 
 Stable sets come from a backtracking search over all n! marriages with
 forward checking: the pairs still admissible are the bits of one int, and
-each placed pair clears, with one mask built on first use, its woman's
-column and every pair that would then form a blocking pair, so such a
-partner is never tried, and a branch is cut as soon as some man has no pair
-left. Every member is certified by `is_stable`, so a fault in the cut could
-only drop members. The weak-stability filter scans every permutation. Both
-are exponential in the worst case, so the module refuses instances above a
-configurable size bound instead of silently sampling. It exists to certify
-the solvers: exact stable sets per notion, dominance-free subsets,
-lexicographic optima, highest-strength marriages, and the weak-stability
-dual filters used to cross-check set equalities.
+each placed pair clears, with one mask, its woman's column and every pair
+that would then block, so such a partner is never tried, and a branch is
+cut as soon as some man has no pair left. The masks come from two cut
+tables read off the kept rankings of both sides, built in O(n^2) per search
+with the first mask row (none at n <= 2). Every member is certified by
+`is_stable`, so a fault in the cut could only drop members. The
+weak-stability filter scans every permutation. Both are exponential in the
+worst case, so the module refuses instances above a configurable size bound
+instead of silently sampling. It exists to certify the solvers: exact stable
+sets per notion, dominance-free subsets, lexicographic optima,
+highest-strength marriages, and the weak-stability dual filters used to
+cross-check set equalities.
 
 Each instance keeps its last search per notion, so `enumerate_stable`,
 `lex_optimum`, `highest_link` and `feasible_partners` on one instance share
@@ -23,7 +25,7 @@ from __future__ import annotations
 import itertools
 
 from .alpha import SemiorderProfile, TotalOrder
-from .instances import Marriage, QuantInstance, WeakProfile, _Record
+from .instances import Marriage, QuantInstance, ScoredProfile, WeakProfile, _Record
 from .link import _check_mode, marriage_link
 from .stability import _check_notion, _table, dominates, is_stable, lex_key
 
@@ -84,13 +86,31 @@ def _check_bound(n: int, size_bound: int) -> None:
         )
 
 
-def _below(values, least: int, bit: int, step: int) -> int:
-    """The bits bit << x*step, one for each x with values[x] <= least."""
-    mask = 0
-    for x, value in enumerate(values):
-        if value <= least:
-            mask |= bit << x * step
-    return mask
+def _cuts(profile: ScoredProfile, side: str, g: int) -> list[list[int]]:
+    """One cut table: entry [p][c], for person p of the side ("men" or
+    "women") and candidate c, holds p's pairs with each x whose rows[p][x] <=
+    rows[p][c] - g, a suffix of p's kept ranking. One walk back ORs the
+    suffixes, one walk forward moves a pointer to each bar: O(n) per person."""
+    rows = profile.men_scores if side == "men" else profile.women_scores
+    ranking = profile._ranking(side)
+    n = len(ranking)
+    # a man p's pair with x is bit p*n + x, a woman p's is bit x*n + p
+    person, candidate = (n, 1) if side == "men" else (1, n)
+    out = []
+    for p, (row, order) in enumerate(zip(rows, ranking)):
+        pair = 1 << p * person
+        suffix = [0] * (n + 1)  # suffix[q]: the pairs of order[q:]
+        for q in range(n - 1, -1, -1):
+            suffix[q] = suffix[q + 1] | pair << order[q] * candidate
+        cut = [0] * n
+        q = 0
+        for c in order:  # bars only fall along the ranking
+            bar = row[c] - g
+            while q < n and row[order[q]] > bar:
+                q += 1
+            cut[c] = suffix[q]
+        out.append(cut)
+    return out
 
 
 def _scan(
@@ -106,10 +126,16 @@ def _scan(
     U[k][v] >= U[k][w] + g and W[v][k] >= W[v][j] + g ((k, v) would block),
     and each (i, v) with W[w][i] >= W[w][k] + g and U[i][w] >= U[i][v] + g
     ((i, w) would block). So the masks are exact: a complete match is stable
-    iff no placement removed one of its pairs. A man's row of masks is built
-    when he is first placed, from pair sets kept for reuse. The last two men
-    need none: once man n - 2 takes w, the last man can only take the woman
-    v left, and only (n - 2, v) and (n - 1, w) could still block.
+    iff no placement removed one of its pairs. Those pairs are read off two
+    cut tables, built by `_cuts` in O(n^2) with man 0's row: `worse[i][w]`,
+    the pairs (i, v) man i would leave for w, and `beaten[v][j]`, the pairs
+    (j', v) woman v would leave for j. A man's row is built when he is first
+    placed, in one walk down his ranking: the women v he prefers to w by g
+    are a growing prefix, and the men i whom w prefers to k by g head her
+    ranking. Placed men among those are harmless: their fields are never
+    read again. The last two men need no row, so a search at n <= 2 builds
+    no table: once man n - 2 takes w, the last man can only take the woman v
+    left, and only (n - 2, v) and (n - 1, w) could still block.
 
     Domains only shrink deeper in the tree, so a branch is cut as soon as a
     later man's n-bit field is empty. One test covers them all: adding
@@ -126,7 +152,9 @@ def _scan(
     rep = every_pair // full  # bit m*n for every man m
     low = rep * (full >> 1)  # the low n - 1 bits of every man's field
     top = rep << n - 1  # the top bit of every man's field
-    worse: list[int | None] = [None] * (n * n)  # [w*n + i]: the (i, v) man i would leave for w
+    if n > 2:  # man 0's row is the first, built on the first call
+        worse, beaten = _cuts(profile, "men", g), _cuts(profile, "women", g)
+        men_rank, women_rank = profile._ranking("men"), profile._ranking("women")
     allowed: list[list[int] | None] = [None] * n
     match = [0] * n
     out: list[Marriage] = []
@@ -141,22 +169,23 @@ def _scan(
             return
         row = allowed[k]
         if row is None and k + 1 < last:
-            u = U[k]
-            beaten: list[int | None] = [None] * n  # [v]: the (j, v) woman v would leave for k
-            row = allowed[k] = []
-            for w in range(n):
-                cut = rep << w
-                for v in range(n):
-                    if u[v] >= u[w] + g:
-                        if beaten[v] is None:
-                            beaten[v] = _below(W[v], W[v][k] - g, 1 << v, n)
-                        cut |= beaten[v]
-                for i in range(k + 1, n):
-                    if W[w][i] >= W[w][k] + g:
-                        if worse[w * n + i] is None:
-                            worse[w * n + i] = _below(U[i], U[i][w] - g, 1 << i * n, 1)
-                        cut |= worse[w * n + i]
-                row.append(~cut)
+            u, order = U[k], men_rank[k]
+            row = allowed[k] = [0] * n
+            gained = 0  # beaten[v][k] for the women v with u[v] >= u[w] + g
+            q = 0
+            for w in order:
+                bar = u[w] + g  # w herself is below it, so q stops at her
+                while u[order[q]] >= bar:
+                    gained |= beaten[order[q]][k]
+                    q += 1
+                cut = gained | rep << w
+                ww = W[w]
+                bar = ww[k] + g
+                for i in women_rank[w]:
+                    if ww[i] < bar:
+                        break
+                    cut |= worse[i][w]
+                row[w] = ~cut
         hi = top >> (k + 1) * n << (k + 1) * n  # the later men's top bits
         while bits:
             w = (bits & -bits).bit_length() - 1

@@ -168,6 +168,28 @@ def reference_enumerate_stable(instance, notion, alpha=None):
     return smq.StableSet(notion, alpha, entries)
 
 
+def reference_table(instance, notion, alpha=None):
+    """(U, W, g): a pair (m, w) blocks when U[m][w] >= U[m][w'] + g and
+    W[w][m] >= W[w][m'] + g, from the raw scores or `reference_strengths`."""
+    if notion.startswith("link-"):
+        return (*reference_strengths(instance, notion.removeprefix("link-")), 1)
+    return instance.men_scores, instance.women_scores, 1 if notion == "classical" else alpha
+
+
+def reference_cuts(instance, notion, alpha=None):
+    """(worse, beaten), the oracle's cut tables by their definition:
+    worse[i][w] holds the pairs (i, v) with U[i][v] <= U[i][w] - g, and
+    beaten[v][j] the pairs (j', v) with W[v][j'] <= W[v][j] - g, pair (m, w)
+    being bit m*n + w."""
+    U, W, g = reference_table(instance, notion, alpha)
+    n = instance.n
+    worse = [[sum(1 << i * n + v for v in range(n) if U[i][v] <= U[i][w] - g)
+              for w in range(n)] for i in range(n)]
+    beaten = [[sum(1 << x * n + v for x in range(n) if W[v][x] <= W[v][j] - g)
+               for j in range(n)] for v in range(n)]
+    return worse, beaten
+
+
 def reference_pruned_scan(
     instance: QuantInstance, notion: str, alpha: int | None, first: int | None = None
 ) -> list[tuple[int, ...]]:
@@ -183,12 +205,7 @@ def reference_pruned_scan(
     it. Each complete match is then certified by `is_stable`, so a fault in
     the cut could only drop members, never admit one.
     """
-    if notion.startswith("link-"):
-        U, W = reference_strengths(instance, notion.removeprefix("link-"))
-        g = 1
-    else:
-        U, W = instance.men_scores, instance.women_scores
-        g = 1 if notion == "classical" else alpha
+    U, W, g = reference_table(instance, notion, alpha)
     n = instance.n
     match = [0] * n
     man_needs = [0] * n  # man j's bound: U[j][match[j]] + g

@@ -163,6 +163,14 @@ def test_score_sums_and_orders():
     assert smq.popularity_orders(P_B) == ((0, 1), (0, 1))
 
 
+def test_totals_count_candidates_not_voters():
+    # three voters over two candidates, and two voters over three
+    assert smq.score_totals([[1, 2], [3, 4], [5, 6]]) == [9, 12]
+    assert smq.score_sum_rule([[1, 2], [3, 4], [5, 6]]) == (1, 0)
+    assert smq.score_totals([[1, 2, 3], [4, 5, 6]]) == [5, 7, 9]
+    assert smq.score_sum_rule([[1, 2, 3], [4, 5, 6]]) == (2, 1, 0)
+
+
 def test_equal_totals_break_by_lower_index():
     assert smq.score_sum_rule(((1, 2), (2, 1))) == (0, 1)
 
