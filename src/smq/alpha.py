@@ -69,7 +69,11 @@ def alpha_transform(instance: QuantInstance, alpha: int) -> SemiorderProfile:
 
 def score_totals(ballots) -> list[int]:
     """Total score each candidate receives, summed over all voters
-    (column sums of the ballot matrix, one per candidate)."""
+    (column sums of the ballot matrix, one per candidate). Raises
+    ValueError unless every ballot has the same length."""
+    lengths = set(map(len, ballots))
+    if len(lengths) > 1:
+        raise ValueError(f"ballots differ in length: {sorted(lengths)}")
     return [sum(column) for column in zip(*ballots)]
 
 
@@ -83,6 +87,13 @@ def popularity_orders(instance: QuantInstance, rule=score_sum_rule):
     """(men_order, women_order): each side ranked by applying the voting
     rule to the scores the *other* side hands out."""
     return rule(instance.women_scores), rule(instance.men_scores)
+
+
+def _check_orders(n: int, *orders: TotalOrder) -> None:
+    """Raise ValueError unless each popularity order permutes 0..n-1."""
+    for order in orders:
+        if sorted(order) != list(range(n)):
+            raise ValueError(f"order {list(order)} is not a permutation of 0..{n - 1}")
 
 
 def linearize(
@@ -103,7 +114,10 @@ def linearize(
     soon as they clear that floor, and each step pops the heap's best. The
     floor never rises, so a candidate in the heap stays unbeaten until it is
     popped. Cost: O(n log n) per list, O(n^2 log n) for the profile.
+
+    Raises ValueError unless both orders permute 0..n-1.
     """
+    _check_orders(semiorder.n, men_order, women_order)
     men_rank = {m: r for r, m in enumerate(men_order)}
     women_rank = {w: r for r, w in enumerate(women_order)}
     scores, alpha = _table(semiorder.instance, "alpha", semiorder.alpha)

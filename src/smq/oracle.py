@@ -4,16 +4,15 @@ Stable sets come from a backtracking search over all n! marriages with
 forward checking: the pairs still admissible are the bits of one int, and
 each placed pair clears, with one mask, its woman's column and every pair
 that would then block, so such a partner is never tried, and a branch is
-cut as soon as some man has no pair left. The masks come from two cut
-tables read off the kept rankings of both sides, built in O(n^2) per search
-with the first mask row (none at n <= 2). Every member is certified by
-`is_stable`, so a fault in the cut could only drop members. The
-weak-stability filter scans every permutation. Both are exponential in the
-worst case, so the module refuses instances above a configurable size bound
-instead of silently sampling. It exists to certify the solvers: exact stable
-sets per notion, dominance-free subsets, lexicographic optima,
-highest-strength marriages, and the weak-stability dual filters used to
-cross-check set equalities.
+cut as soon as some man has no pair left. Every mask is built before the
+search, in O(n^2), by four prefix-OR walks down the kept rankings of both
+sides. Every member is certified by `is_stable`, so a fault in the cut could
+only drop members. The weak-stability filter scans every permutation. Both
+are exponential in the worst case, so the module refuses instances above a
+configurable size bound instead of silently sampling. It exists to certify
+the solvers: exact stable sets per notion, dominance-free subsets,
+lexicographic optima, highest-strength marriages, and the weak-stability
+dual filters used to cross-check set equalities.
 
 Each instance keeps its last search per notion, so `enumerate_stable`,
 `lex_optimum`, `highest_link` and `feasible_partners` on one instance share
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 
-from .alpha import SemiorderProfile, TotalOrder
+from .alpha import SemiorderProfile, TotalOrder, _check_orders
 from .instances import Marriage, QuantInstance, ScoredProfile, WeakProfile, _Record
 from .link import _check_mode, marriage_link
 from .stability import _check_notion, _table, dominates, is_stable, lex_key
@@ -86,31 +85,46 @@ def _check_bound(n: int, size_bound: int) -> None:
         )
 
 
-def _cuts(profile: ScoredProfile, side: str, g: int) -> list[list[int]]:
-    """One cut table: entry [p][c], for person p of the side ("men" or
-    "women") and candidate c, holds p's pairs with each x whose rows[p][x] <=
-    rows[p][c] - g, a suffix of p's kept ranking. One walk back ORs the
-    suffixes, one walk forward moves a pointer to each bar: O(n) per person."""
-    rows = profile.men_scores if side == "men" else profile.women_scores
-    ranking = profile._ranking(side)
+def _reach(rows, ranking, items, g: int) -> list[list[int]]:
+    """Entry [p][c], for person p and candidate c: the OR of items[p][x]
+    over the x with rows[p][x] >= rows[p][c] + g. Those x are a prefix of
+    p's kept ranking, and bars only fall along it, so one walk down it with
+    a running OR and a pointer covers each person: O(n)."""
     n = len(ranking)
-    # a man p's pair with x is bit p*n + x, a woman p's is bit x*n + p
-    person, candidate = (n, 1) if side == "men" else (1, n)
     out = []
-    for p, (row, order) in enumerate(zip(rows, ranking)):
-        pair = 1 << p * person
-        suffix = [0] * (n + 1)  # suffix[q]: the pairs of order[q:]
-        for q in range(n - 1, -1, -1):
-            suffix[q] = suffix[q + 1] | pair << order[q] * candidate
-        cut = [0] * n
-        q = 0
-        for c in order:  # bars only fall along the ranking
-            bar = row[c] - g
-            while q < n and row[order[q]] > bar:
+    for row, order, item in zip(rows, ranking, items):
+        reach = [0] * n
+        got = q = 0
+        for c in order:
+            bar = row[c] + g
+            while q < n and row[order[q]] >= bar:
+                got |= item[order[q]]
                 q += 1
-            cut[c] = suffix[q]
-        out.append(cut)
+            reach[c] = got
+        out.append(reach)
     return out
+
+
+def _masks(profile: ScoredProfile, g: int) -> list[list[int]]:
+    """allowed[k][w] for every man k but the last: the pairs, bit m*n + w
+    for (m, w), that placing man k with woman w keeps (see `_scan`)."""
+    U, W = profile.men_scores, profile.women_scores
+    men_rank, women_rank = profile._ranking("men"), profile._ranking("women")
+    n = len(U)
+    full = (1 << n) - 1
+    rep = ((1 << n * n) - 1) // full  # bit m*n for every man m
+    # worse[i][w]: the pairs (i, v) with U[i][v] <= U[i][w] - g, man i's field less
+    # the prefix U[i][v] >= U[i][w] + 1 - g (integer scores); beaten: the same for women
+    keep = _reach(U, men_rank, [[1 << v for v in range(n)]] * n, 1 - g)
+    worse = [[(full ^ r) << i * n for r in row] for i, row in enumerate(keep)]
+    keep = _reach(W, women_rank, [[1 << x * n for x in range(n)]] * n, 1 - g)
+    beaten = [[(rep ^ r) << v for r in row] for v, row in enumerate(keep)]
+    gains = _reach(U[: n - 1], men_rank, zip(*beaten), g)  # the (j, v) that (k, v) blocks
+    heads = _reach(W, women_rank, zip(*worse), g)  # the (i, v) that (i, w) blocks
+    column = [rep << w for w in range(n)]
+    every_pair = full * rep
+    return [[every_pair ^ (c | gain | head) for c, gain, head in zip(column, row, col)]
+            for row, col in zip(gains, zip(*heads))]
 
 
 def _scan(
@@ -126,16 +140,8 @@ def _scan(
     U[k][v] >= U[k][w] + g and W[v][k] >= W[v][j] + g ((k, v) would block),
     and each (i, v) with W[w][i] >= W[w][k] + g and U[i][w] >= U[i][v] + g
     ((i, w) would block). So the masks are exact: a complete match is stable
-    iff no placement removed one of its pairs. Those pairs are read off two
-    cut tables, built by `_cuts` in O(n^2) with man 0's row: `worse[i][w]`,
-    the pairs (i, v) man i would leave for w, and `beaten[v][j]`, the pairs
-    (j', v) woman v would leave for j. A man's row is built when he is first
-    placed, in one walk down his ranking: the women v he prefers to w by g
-    are a growing prefix, and the men i whom w prefers to k by g head her
-    ranking. Placed men among those are harmless: their fields are never
-    read again. The last two men need no row, so a search at n <= 2 builds
-    no table: once man n - 2 takes w, the last man can only take the woman v
-    left, and only (n - 2, v) and (n - 1, w) could still block.
+    iff no placement removed one of its pairs. `_masks` builds them all
+    before the search, in O(n^2) from the kept rankings of both sides.
 
     Domains only shrink deeper in the tree, so a branch is cut as soon as a
     later man's n-bit field is empty. One test covers them all: adding
@@ -144,7 +150,7 @@ def _scan(
     a fault in the cut could only drop members.
     """
     profile, g = _table(instance, notion, alpha)
-    U, W = profile.men_scores, profile.women_scores
+    allowed = _masks(profile, g)
     n = instance.n
     last = n - 1
     full = (1 << n) - 1
@@ -152,10 +158,6 @@ def _scan(
     rep = every_pair // full  # bit m*n for every man m
     low = rep * (full >> 1)  # the low n - 1 bits of every man's field
     top = rep << n - 1  # the top bit of every man's field
-    if n > 2:  # man 0's row is the first, built on the first call
-        worse, beaten = _cuts(profile, "men", g), _cuts(profile, "women", g)
-        men_rank, women_rank = profile._ranking("men"), profile._ranking("women")
-    allowed: list[list[int] | None] = [None] * n
     match = [0] * n
     out: list[Marriage] = []
 
@@ -168,35 +170,11 @@ def _scan(
                 out.append(marriage)
             return
         row = allowed[k]
-        if row is None and k + 1 < last:
-            u, order = U[k], men_rank[k]
-            row = allowed[k] = [0] * n
-            gained = 0  # beaten[v][k] for the women v with u[v] >= u[w] + g
-            q = 0
-            for w in order:
-                bar = u[w] + g  # w herself is below it, so q stops at her
-                while u[order[q]] >= bar:
-                    gained |= beaten[order[q]][k]
-                    q += 1
-                cut = gained | rep << w
-                ww = W[w]
-                bar = ww[k] + g
-                for i in women_rank[w]:
-                    if ww[i] < bar:
-                        break
-                    cut |= worse[i][w]
-                row[w] = ~cut
         hi = top >> (k + 1) * n << (k + 1) * n  # the later men's top bits
         while bits:
             w = (bits & -bits).bit_length() - 1
             bits &= bits - 1
             match[k] = w
-            if row is None:  # k + 1 is the last man: test him with the woman v left
-                v = (domain >> last * n & full & ~(1 << w)).bit_length() - 1
-                if v >= 0 and not (U[k][v] >= U[k][w] + g and W[v][k] >= W[v][last] + g
-                                   or W[w][last] >= W[w][k] + g and U[last][w] >= U[last][v] + g):
-                    place(last, 1 << v << last * n)
-                continue
             rest = domain & row[w]
             if (((rest & low) + low) | rest) & hi == hi:
                 place(k + 1, rest)
@@ -306,7 +284,9 @@ def lex_optimum(
 ) -> Marriage:
     """The lexicographically best alpha-stable marriage for the given
     popularity orders. Unique because the lexicographic comparison is a
-    strict total order and the stable set is never empty."""
+    strict total order and the stable set is never empty. Raises ValueError
+    unless both orders permute 0..n-1."""
+    _check_orders(instance.n, men_order, women_order)
     stable = _stable_marriages(instance, "alpha", alpha, size_bound)
     return min(stable, key=lambda m: lex_key(m, men_order, women_order))
 

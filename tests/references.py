@@ -176,18 +176,20 @@ def reference_table(instance, notion, alpha=None):
     return instance.men_scores, instance.women_scores, 1 if notion == "classical" else alpha
 
 
-def reference_cuts(instance, notion, alpha=None):
-    """(worse, beaten), the oracle's cut tables by their definition:
-    worse[i][w] holds the pairs (i, v) with U[i][v] <= U[i][w] - g, and
-    beaten[v][j] the pairs (j', v) with W[v][j'] <= W[v][j] - g, pair (m, w)
-    being bit m*n + w."""
+def reference_masks(instance, notion, alpha=None):
+    """The oracle's masks by their definition: allowed[k][w], for every man
+    k < n - 1 and woman w, holds pair (j, v), bit j*n + v, unless v == w,
+    (k, v) blocks the pairs (k, w) and (j, v), or (j, w) blocks them."""
     U, W, g = reference_table(instance, notion, alpha)
     n = instance.n
-    worse = [[sum(1 << i * n + v for v in range(n) if U[i][v] <= U[i][w] - g)
-              for w in range(n)] for i in range(n)]
-    beaten = [[sum(1 << x * n + v for x in range(n) if W[v][x] <= W[v][j] - g)
-               for j in range(n)] for v in range(n)]
-    return worse, beaten
+
+    def removed(k, w, j, v):
+        return (v == w
+                or U[k][v] >= U[k][w] + g and W[v][k] >= W[v][j] + g
+                or W[w][j] >= W[w][k] + g and U[j][w] >= U[j][v] + g)
+
+    return [[sum(1 << j * n + v for j in range(n) for v in range(n) if not removed(k, w, j, v))
+             for w in range(n)] for k in range(n - 1)]
 
 
 def reference_pruned_scan(

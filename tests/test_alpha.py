@@ -171,6 +171,25 @@ def test_totals_count_candidates_not_voters():
     assert smq.score_sum_rule([[1, 2, 3], [4, 5, 6]]) == (2, 1, 0)
 
 
+def test_ragged_ballots_are_refused():
+    # [[1, 2], [3]] would otherwise drop the candidate scored 2
+    for ballots in ([[1, 2], [3]], [[1], [2, 3]], [[1, 2, 3], [4, 5], [6, 7, 8]]):
+        with pytest.raises(ValueError, match="differ in length"):
+            smq.score_totals(ballots)
+        with pytest.raises(ValueError, match="differ in length"):
+            smq.score_sum_rule(ballots)
+
+
+def test_linearize_refuses_orders_that_are_not_permutations():
+    semi = smq.alpha_transform(smq.random_instance(4, 3, 6), 2)
+    full = (0, 1, 2, 3)
+    for bad in ((1,), (0, 1), (0, 1, 2, 2), (0, 1, 2, 3, 4), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            smq.linearize(semi, bad, full)
+        with pytest.raises(ValueError, match="not a permutation"):
+            smq.linearize(semi, full, bad)
+
+
 def test_equal_totals_break_by_lower_index():
     assert smq.score_sum_rule(((1, 2), (2, 1))) == (0, 1)
 

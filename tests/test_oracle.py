@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 import smq
 from smq import oracle
-from smq.oracle import DEFAULT_SIZE_BOUND, _cuts, _scan, _stable_marriages
+from smq.oracle import DEFAULT_SIZE_BOUND, _masks, _scan, _stable_marriages
 from smq.stability import NOTIONS, _table, is_stable
 from conftest import M1, M2, P_A, P_B, P_C, alphas, instances, tie_heavy_instances
-from references import reference_cuts, reference_enumerate_stable, reference_pruned_scan
+from references import reference_enumerate_stable, reference_masks, reference_pruned_scan
 from test_link import ALL_TIED
 
 # Small score ranges make ties across rows (and between the two scores of a
@@ -76,16 +76,19 @@ def test_search_and_skyline_match_exhaustive_scan(inst, alpha):
         assert parts == expected.marriages(), notion
 
 
+def exact(*args):
+    """A certification for `_scan` that accepts every complete match but
+    fails at once on a blocked one: the search then runs as uncertified, with
+    only the pair masks keeping non-members out, and a loose mask fails at
+    its first non-member instead of running through many more."""
+    assert is_stable(*args), args[1]
+    return True
+
+
 @given(tie_heavy_instances(min_n=6), alphas)
 @settings(max_examples=40)
 def test_forward_checking_matches_the_pairwise_scan(inst, alpha):
-    verdicts = []
-
-    def certify(*args):
-        verdicts.append(is_stable(*args))
-        return verdicts[-1]
-
-    with patch.object(oracle, "is_stable", certify):
+    with patch.object(oracle, "is_stable", exact):
         for notion in NOTIONS:
             a = alpha if notion == "alpha" else None
             matches = [m.partner_of_man for m in _scan(inst, notion, a)]
@@ -93,17 +96,13 @@ def test_forward_checking_matches_the_pairwise_scan(inst, alpha):
             for first in range(inst.n):
                 part = [m.partner_of_man for m in _scan(inst, notion, a, first)]
                 assert part == reference_pruned_scan(inst, notion, a, first), (notion, first)
-    # the masks are exact: no match the search completes holds a blocking pair
-    assert all(verdicts)
 
 
 @given(tie_heavy_instances(min_n=6, max_n=9), alphas)
 @settings(max_examples=15)
 def test_the_uncertified_search_matches_the_pairwise_scan(inst, alpha):
-    # with the certification accepting every complete match, only the pair
-    # masks keep non-members out, and the reference must still agree; the
-    # reference's part for one first woman is its slice of the whole
-    with patch.object(oracle, "is_stable", lambda *args: True):
+    # the reference's part for one first woman is its slice of the whole
+    with patch.object(oracle, "is_stable", exact):
         for notion in NOTIONS:
             a = alpha if notion == "alpha" else None
             expected = reference_pruned_scan(inst, notion, a)
@@ -116,13 +115,7 @@ def test_the_uncertified_search_matches_the_pairwise_scan(inst, alpha):
 @pytest.mark.parametrize("n", [1, 9, 10])
 def test_forward_checking_matches_the_pairwise_scan_above_the_bound(n):
     # n = 1 has no later man to cut on; at n = 9 and 10 the n*n bits of a
-    # search state pass 64. The certification accepts every complete match
-    # but fails at once on a blocked one, so the search runs as uncertified
-    # and a loose mask cannot send it through millions of matches.
-    def exact(*args):
-        assert is_stable(*args), args[1]
-        return True
-
+    # search state pass 64
     for seed, max_score, alpha in ((1, 10 * n, n), (2, 5 * n, n // 2 + 1), (3, 2 * n, 3)):
         inst = smq.random_instance(n, seed=seed, max_score=max_score)
         for notion in NOTIONS:
@@ -134,12 +127,10 @@ def test_forward_checking_matches_the_pairwise_scan_above_the_bound(n):
 
 @given(tie_heavy_instances(), st.integers(1, 3))
 @settings(max_examples=100)
-def test_cut_tables_match_their_definition(inst, alpha):
+def test_masks_match_their_definition(inst, alpha):
     for notion in NOTIONS:
         a = alpha if notion == "alpha" else None
-        profile, g = _table(inst, notion, a)
-        tables = _cuts(profile, "men", g), _cuts(profile, "women", g)
-        assert tables == reference_cuts(inst, notion, a), notion
+        assert _masks(*_table(inst, notion, a)) == reference_masks(inst, notion, a), notion
 
 
 def test_dense_stable_set_is_annotated_fast():
@@ -189,6 +180,21 @@ def test_lex_optimum_examples():
     # singleton stable set: the optimum is forced whatever the orders
     assert smq.lex_optimum(P_A, 1, (0, 1), (0, 1)) == M2
     assert smq.lex_optimum(P_A, 1, (1, 0), (1, 0)) == M2
+
+
+def test_lex_optimum_refuses_orders_that_are_not_permutations():
+    # (1,) once passed as a men's order; its completions (1, 0, 2, 3),
+    # (1, 2, 0, 3) and (1, 3, 2, 0) have three different optima
+    inst = smq.random_instance(4, 3, 6)
+    full = (0, 1, 2, 3)
+    optima = {smq.lex_optimum(inst, 2, order, full)
+              for order in ((1, 0, 2, 3), (1, 2, 0, 3), (1, 3, 2, 0))}
+    assert len(optima) == 3
+    for bad in ((1,), (0, 1), (0, 1, 2, 2), (0, 1, 2, 3, 4), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            smq.lex_optimum(inst, 2, bad, full)
+        with pytest.raises(ValueError, match="not a permutation"):
+            smq.lex_optimum(inst, 2, full, bad)
 
 
 def test_highest_link_examples():
