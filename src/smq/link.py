@@ -35,8 +35,16 @@ def marriage_link(instance: QuantInstance, marriage: Marriage, mode: str) -> int
     match = marriage.partner_of_man
     if len(match) != instance.n:
         raise _misfit(instance, marriage)
-    strengths = map(list.__getitem__, _strengths(instance, mode).men_scores, match)
-    return sum(strengths) if mode == "add" else max(strengths)
+    return _totals(instance, [match], mode)[0]
+
+
+def _totals(instance: QuantInstance, matches, mode: str) -> list[int]:
+    """The aggregate strength of each match, read from the strength rows
+    that :func:`_strengths` keeps for the mode: their sum for 'add', their
+    maximum for 'max'."""
+    values = _strengths(instance, mode).men_scores
+    aggregate = sum if mode == "add" else max
+    return [aggregate(map(list.__getitem__, values, match)) for match in matches]
 
 
 def link_transform(instance: QuantInstance, mode: str) -> WeakProfile:

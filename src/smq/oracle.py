@@ -22,10 +22,12 @@ one search per notion (and alpha) instead of each running its own.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
+from operator import and_, getitem
 
 from .alpha import SemiorderProfile, TotalOrder, _check_orders
 from .instances import Marriage, QuantInstance, ScoredProfile, WeakProfile, _Record
-from .link import _check_mode, marriage_link
+from .link import _check_mode, _totals, marriage_link
 from .stability import _check_notion, _table, dominates, is_stable, lex_key
 
 DEFAULT_SIZE_BOUND = 8
@@ -237,35 +239,42 @@ def enumerate_stable(
     Dominance flags come from a sort-filter skyline: a dominator has a
     strictly larger sum of men's scores and dominance is transitive, so
     members visited in descending sum order need only be tested against the
-    undominated members found before them.
+    undominated members found before them. Those are indexed by man: bit b
+    of covers[m][w] is set iff man m scores his partner in skyline member b
+    at least as high as woman w, so the AND of covers[m][x[m]] over the men
+    holds x's rivals, the skyline members that give no man a worse partner
+    than x does. With no rival, x is undominated; otherwise `dominates`
+    decides on its first rival, since a dominated x is dominated by every
+    rival (one that gave every man x's score would share x's dominator, and
+    no skyline member is dominated). The link totals are read from the kept
+    strength tables.
 
     Raises SizeBoundError when n exceeds size_bound (default 8).
     """
     stable = _stable_marriages(instance, notion, alpha, size_bound, jobs)
-    men = instance.men_scores
-    sums = [sum(row[w] for row, w in zip(men, m.partner_of_man)) for m in stable]
+    profile = _table(instance, "classical", None)[0]
+    men, ranking = profile.men_scores, profile._ranking("men")
+    matches = [m.partner_of_man for m in stable]
+    sums = [sum(map(getitem, men, match)) for match in matches]
     flags = [False] * len(stable)
     skyline: list[Marriage] = []
+    covers = [[0] * instance.n for _ in men]
     for i in sorted(range(len(stable)), key=sums.__getitem__, reverse=True):
-        member = stable[i]
-        # a loop, not any() over a generator: a dense set makes tens of
-        # thousands of these tests, and each generator step costs about as
-        # much as the test itself
-        for top in skyline:
-            if dominates(instance, top, member):
-                break
-        else:
-            skyline.append(member)
-            flags[i] = True
-    entries = tuple(
-        StableEntry(
-            marriage=m,
-            undominated=flag,
-            link_add=marriage_link(instance, m, "add"),
-            link_max=marriage_link(instance, m, "max"),
-        )
-        for m, flag in zip(stable, flags)
-    )
+        rivals = reduce(and_, map(getitem, covers, matches[i]))
+        if rivals and dominates(instance, skyline[(rivals & -rivals).bit_length() - 1], stable[i]):
+            continue
+        flags[i] = True
+        bit = 1 << len(skyline)
+        skyline.append(stable[i])
+        for row, order, cover, w in zip(men, ranking, covers, matches[i]):
+            # the women this man scores at most as high as w: a suffix of his ranking
+            bar = row[w]
+            for v in reversed(order):
+                if row[v] > bar:
+                    break
+                cover[v] |= bit
+    entries = tuple(map(StableEntry, stable, flags, _totals(instance, matches, "add"),
+                        _totals(instance, matches, "max")))
     return StableSet(notion, alpha, entries)
 
 

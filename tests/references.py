@@ -168,6 +168,23 @@ def reference_enumerate_stable(instance, notion, alpha=None):
     return smq.StableSet(notion, alpha, entries)
 
 
+def reference_skyline(instance, marriages):
+    """The undominated flags of `marriages`, in their order, by the pairwise
+    sort-filter skyline: a dominator has a strictly larger sum of men's
+    scores and dominance is transitive, so members visited in descending sum
+    order need only be tested against the undominated members found before
+    them."""
+    sums = [sum(row[w] for row, w in zip(instance.men_scores, m.partner_of_man))
+            for m in marriages]
+    flags = [False] * len(marriages)
+    skyline = []
+    for i in sorted(range(len(marriages)), key=sums.__getitem__, reverse=True):
+        if not any(smq.dominates(instance, top, marriages[i]) for top in skyline):
+            skyline.append(marriages[i])
+            flags[i] = True
+    return flags
+
+
 def reference_table(instance, notion, alpha=None):
     """(U, W, g): a pair (m, w) blocks when U[m][w] >= U[m][w'] + g and
     W[w][m] >= W[w][m'] + g, from the raw scores or `reference_strengths`."""

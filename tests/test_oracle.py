@@ -11,7 +11,12 @@ from smq import oracle
 from smq.oracle import DEFAULT_SIZE_BOUND, _masks, _scan, _stable_marriages
 from smq.stability import NOTIONS, _table, is_stable
 from conftest import M1, M2, P_A, P_B, P_C, alphas, instances, tie_heavy_instances
-from references import reference_enumerate_stable, reference_masks, reference_pruned_scan
+from references import (
+    reference_enumerate_stable,
+    reference_masks,
+    reference_pruned_scan,
+    reference_skyline,
+)
 from test_link import ALL_TIED
 
 # Small score ranges make ties across rows (and between the two scores of a
@@ -134,14 +139,18 @@ def test_masks_match_their_definition(inst, alpha):
 
 
 def test_dense_stable_set_is_annotated_fast():
-    # 6,394 of the 40,320 marriages are stable: testing every member against
-    # every other would take some 40 million dominance tests
+    # 6,394 of the 40,320 marriages are stable and 32 undominated: testing
+    # every member against every other would take about 40.9 million
+    # dominance tests, the pairwise skyline took 17,180, and the indexed
+    # skyline takes one per dominated member
     inst = smq.random_instance(8, seed=5, max_score=8)
     start = time.perf_counter()
-    stable = smq.enumerate_stable(inst, "alpha", 4)
+    with patch.object(oracle, "dominates", wraps=oracle.dominates) as dominates:
+        stable = smq.enumerate_stable(inst, "alpha", 4)
     elapsed = time.perf_counter() - start
     assert len(stable) == 6394
     assert len(smq.undominated(inst, stable)) == 32
+    assert dominates.call_count == 6362
     assert elapsed < 3.0
 
 
@@ -171,6 +180,49 @@ def test_male_optimal_is_never_dominated(inst):
     stable = smq.enumerate_stable(inst, "classical")
     male_opt = smq.gs(smq.derive_classical(inst), "men")
     assert male_opt in smq.undominated(inst, stable)
+
+
+@given(instances(max_n=7))
+@settings(max_examples=60)
+def test_male_optimal_is_the_only_undominated_classical_marriage(inst):
+    # every man weakly prefers his men-optimal partner to his partner in any
+    # other classical stable marriage, and strictly so where they differ
+    stable = smq.enumerate_stable(inst, "classical")
+    male_opt = smq.gs(smq.derive_classical(inst), "men")
+    assert smq.undominated(inst, stable) == [male_opt]
+
+
+@st.composite
+def repeating_instances(draw, max_n=5):
+    """Instances built without `validate` in which some row repeats a score,
+    so two different marriages can give every man the same score."""
+    n = draw(st.integers(2, max_n))
+    cell = st.integers(0, n)
+    men, women = ([draw(st.lists(cell, min_size=n, max_size=n)) for _ in range(n)]
+                  for _ in range(2))
+    row = draw(st.sampled_from(men + women))
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    row[j] = row[i]
+    return smq.QuantInstance(n, tuple(map(tuple, men)), tuple(map(tuple, women)))
+
+
+# Seeded like the bench's dense pool, so alpha-stable sets run to thousands
+# of members. Not `instances`: Hypothesis favours markets in which every man
+# ranks the women alike, where all n! marriages can be link-max stable with
+# equal score sums, none dominated, and the pairwise reference then tests
+# every pair of them.
+dense_instances = st.integers(6, 8).flatmap(lambda n: st.builds(
+    smq.random_instance, st.just(n), st.integers(0, 2**32), st.integers(n, 2 * n)))
+
+
+@given(st.tuples(dense_instances, st.integers(2, 5)) | st.tuples(repeating_instances(), alphas))
+@settings(max_examples=60)
+def test_indexed_skyline_matches_the_pairwise_skyline(case):
+    inst, alpha = case
+    for notion in NOTIONS:
+        stable = smq.enumerate_stable(inst, notion, alpha if notion == "alpha" else None)
+        flags = [e.undominated for e in stable.entries]
+        assert flags == reference_skyline(inst, stable.marriages()), notion
 
 
 def test_lex_optimum_examples():
