@@ -27,12 +27,14 @@ class SemiorderProfile(_Record):
     the pair incomparable.
 
     The strict part is irreflexive, asymmetric, and transitive (two stacked
-    gaps of alpha span at least alpha), so every list is a semiorder.
+    gaps of alpha span at least alpha), so every list is a semiorder for an
+    integer alpha >= 1; building the profile raises ValueError for any other.
     """
 
     __slots__ = _fields = ("instance", "alpha")
 
     def __init__(self, instance: QuantInstance, alpha: int):
+        _check_notion("alpha", alpha)
         object.__setattr__(self, "instance", instance)
         object.__setattr__(self, "alpha", alpha)
 
@@ -62,8 +64,8 @@ class SemiorderProfile(_Record):
 
 def alpha_transform(instance: QuantInstance, alpha: int) -> SemiorderProfile:
     """View an instance at gap threshold alpha. At alpha=1 every distinct
-    pair stays comparable, so the relation matches the classical profile."""
-    _check_notion("alpha", alpha)
+    pair stays comparable, so the relation matches the classical profile;
+    :class:`SemiorderProfile` refuses an alpha that is not an integer >= 1."""
     return SemiorderProfile(instance, alpha)
 
 

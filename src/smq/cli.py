@@ -235,10 +235,9 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_transform(args) -> int:
     instance = _load_instance(args.instance)
-    if args.alpha is not None:
-        if args.alpha < 1:
-            raise _Fail(USAGE, "--alpha must be >= 1")
-        semiorder = alpha_transform(instance, args.alpha)
+    alpha = _require_alpha(args, not (args.link_add or args.link_max), "--link-add or --link-max")
+    if alpha is not None:
+        semiorder = alpha_transform(instance, alpha)
         classical = derive_classical(instance)
         for side, name, other, lists in (
             ("men", man_name, woman_name, classical.men_prefs),

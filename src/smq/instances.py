@@ -167,11 +167,15 @@ class ScoredProfile(_Record):
 
 
 class Marriage(_Record):
-    """A perfect matching; partner_of_man[i] is the woman married to man i."""
+    """A perfect matching; partner_of_man[i] is the woman married to man i.
+    Building one raises ValueError unless it permutes 0..len-1; readers trust that."""
 
     __slots__ = _fields = ("partner_of_man",)
 
     def __init__(self, partner_of_man: tuple[int, ...]):
+        if not set(partner_of_man).issuperset(range(len(partner_of_man))):
+            raise ValueError(f"{list(partner_of_man)} is not a permutation "
+                             f"of 0..{len(partner_of_man) - 1}")
         object.__setattr__(self, "partner_of_man", partner_of_man)
 
     def inverse(self) -> tuple[int, ...]:
@@ -271,21 +275,19 @@ def _rank_rows(rows) -> Matrix:
 
 
 def make_marriage(values) -> Marriage:
-    """Build a marriage from a sequence of woman indices, one per man.
-
-    Raises ValueError if the sequence is not a permutation of 0..n-1.
-    """
+    """Build a marriage from outside input, woman indices one per man.
+    Raises ValueError unless there is at least one entry and every entry is
+    an int; :class:`Marriage` then refuses one that does not permute 0..n-1."""
     match = tuple(values)
-    # exact int type, checked in C: bool and float entries compare equal to
-    # indices but are not indices
-    if not match or set(map(type, match)) != {int} or sorted(match) != list(range(len(match))):
-        raise ValueError(f"{list(match)} is not a permutation of 0..{max(len(match) - 1, 0)}")
+    # exact int type, checked in C: bools and floats equal indices but are not indices
+    if set(map(type, match)) != {int}:
+        raise ValueError(f"{list(match)} is not a non-empty list of int indices")
     return Marriage(match)
 
 
 def _misfit(instance: QuantInstance, marriage: Marriage) -> ValueError:
-    """The error for a marriage that is not a permutation of the instance's
-    women; callers test the marriage themselves, once, and raise this."""
+    """The error for a marriage whose size is not the instance's; a
+    :class:`Marriage` is a permutation already, so that is all a reader tests."""
     match = marriage.partner_of_man
     return ValueError(f"a marriage of size {len(match)} ({list(match)}) is not a "
                       f"permutation of the women of an instance of size {instance.n}")

@@ -31,7 +31,7 @@ def link_value(instance: QuantInstance, man: int, woman: int, mode: str) -> int:
 def marriage_link(instance: QuantInstance, marriage: Marriage, mode: str) -> int:
     """Aggregate strength of a marriage: sum of pair strengths for 'add',
     maximum pair strength for 'max'. Raises ValueError unless the marriage
-    has the instance's size."""
+    has the instance's size; :class:`Marriage` checks the rest."""
     match = marriage.partner_of_man
     if len(match) != instance.n:
         raise _misfit(instance, marriage)

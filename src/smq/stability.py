@@ -79,10 +79,10 @@ def _table(instance: QuantInstance, notion: str, alpha: int | None) -> tuple[Sco
 
 def _audit(instance: QuantInstance, marriage: Marriage, notion: str, alpha: int | None):
     """(profile, g, match) for both audits, after their checks: a ValueError
-    unless alpha fits the notion and the marriage permutes the women."""
+    unless alpha fits the notion and the marriage has the instance's size."""
     _check_notion(notion, alpha)
     match = marriage.partner_of_man
-    if len(match) != instance.n or not set(match).issuperset(range(instance.n)):
+    if len(match) != instance.n:
         raise _misfit(instance, marriage)
     return *_table(instance, notion, alpha), match
 
@@ -145,7 +145,7 @@ def blocking_pairs(
 
     Witness values record the numbers certifying each violation. Pairs are
     reported in ascending (man, woman) order. A ValueError is raised unless
-    the marriage is a permutation of the instance's women.
+    the marriage has the instance's size; :class:`Marriage` checks the rest.
     """
     profile, g, match = _audit(instance, marriage, notion, alpha)
     U, W = profile.men_scores, profile.women_scores
@@ -163,8 +163,8 @@ def is_stable(
     alpha: int | None = None,
 ) -> bool:
     """Early-exit stability check; the same scan and checks as
-    :func:`blocking_pairs`: a ValueError unless the marriage is a
-    permutation of the instance's women."""
+    :func:`blocking_pairs`: a ValueError unless the marriage has the
+    instance's size."""
     return not _blocks(*_audit(instance, marriage, notion, alpha), True)
 
 
@@ -172,19 +172,16 @@ def dominates(instance: QuantInstance, first: Marriage, second: Marriage) -> boo
     """True iff every man weakly prefers his partner in `first` over his
     partner in `second` (by his own scores) and at least one strictly does.
     Irreflexive: a marriage never dominates itself. Raises ValueError
-    unless both marriages have the instance's size.
+    unless both have the instance's size; :class:`Marriage` checks the rest.
     """
     first_match, second_match = first.partner_of_man, second.partner_of_man
     if not len(first_match) == len(second_match) == instance.n:
         raise _misfit(instance, second if len(first_match) == instance.n else first)
     strict = False
-    for m, row in enumerate(instance.men_scores):
-        a = row[first_match[m]]
-        b = row[second_match[m]]
-        if a < b:
+    for row, a, b in zip(instance.men_scores, first_match, second_match):
+        if row[a] < row[b]:
             return False
-        if a > b:
-            strict = True
+        strict = strict or row[a] > row[b]
     return strict
 
 

@@ -210,13 +210,12 @@ def reference_masks(instance, notion, alpha=None):
 
 
 def reference_pruned_scan(
-    instance: QuantInstance, notion: str, alpha: int | None, first: int | None = None
+    instance: QuantInstance, notion: str, alpha: int | None
 ) -> list[tuple[int, ...]]:
     """The oracle's search before forward checking, kept as its slow twin.
 
     Stable matches in lexicographic order, by backtracking: men are
     placed in index order, each trying the free women in ascending index.
-    With `first` given, man 0 is placed with that woman only.
 
     A pair's verdict is fixed once the man and the woman's partner are both
     placed, so placing man k with woman w tests just the pairs (k, match[j])
@@ -234,7 +233,7 @@ def reference_pruned_scan(
 
     def place(k: int) -> None:
         u = U[k]
-        for w in range(n) if k or first is None else (first,):
+        for w in range(n):
             if used[w]:
                 continue
             ww = W[w]

@@ -43,9 +43,13 @@ def test_huge_threshold_makes_everything_incomparable():
             assert semi.incomparable_pairs(side, person) == [(0, 1)]
 
 
-@pytest.mark.parametrize("bad", [0, -3, None, 1.5, True])
+@pytest.mark.parametrize("bad", [0, -1, -3, None, 1.5, True])
 def test_threshold_must_be_positive_integer(bad):
-    with pytest.raises(ValueError):
+    # the profile refuses it when built, so `linearize` and
+    # `weakly_stable_set` never read such an alpha
+    with pytest.raises(ValueError, match="integer alpha >= 1"):
+        smq.SemiorderProfile(P_B, bad)
+    with pytest.raises(ValueError, match="integer alpha >= 1"):
         smq.alpha_transform(P_B, bad)
     with pytest.raises(ValueError):
         smq.lex_male_alpha_gs(P_B, bad)

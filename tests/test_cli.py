@@ -121,6 +121,23 @@ def test_check_pretty_prints_witnesses(files, capsys, argv, expected):
     assert out.splitlines() == expected
 
 
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["enumerate", "--notion", "alpha", "--alpha", "2", "-i", "P_B", "--pretty"], 0,
+     '{"notion":"alpha","alpha":2,"marriages":[{"match":[0,1],"undominated":true,'
+     '"link_add":14,"link_max":8},{"match":[1,0],"undominated":true,"link_add":14,'
+     '"link_max":5}]}\n'
+     "2 stable marriage(s) under alpha:\n"
+     "  [m1-w1, m2-w2] undominated, link add=14 max=8\n"
+     "  [m1-w2, m2-w1] undominated, link add=14 max=5\n", ""),
+    (["check", "--notion", "alpha", "--alpha", "2", "--marriage", "1,0", "-i", "P_B",
+      "--pretty"], 0, '{"notion":"alpha","alpha":2,"pairs":[]}\nstable under alpha\n', ""),
+    (["transform", "--alpha", "0", "-i", "P_B"], 2, "", "error: --alpha must be >= 1\n"),
+])
+def test_pretty_tables_and_the_alpha_refusal_keep_their_bytes(files, capsys, argv, code,
+                                                              out, err):
+    assert run(capsys, *[files.get(arg, arg) for arg in argv]) == (code, out, err)
+
+
 def test_check_malformed_marriage_exits_four(files, capsys):
     for bad in ("0,0", "0", "0,1,2", "a,b"):
         code, _, err = run(capsys, "check", "--notion", "classical",

@@ -198,10 +198,12 @@ def test_marriage_helpers():
     assert marriage.inverse() == (1, 0, 2)
     assert marriage.pairs() == [(0, 1), (1, 0), (2, 2)]
     assert smq.serialize_marriage(marriage) == '{"match":[1,0,2]}'
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a permutation"):
         smq.make_marriage([0, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a permutation"):
         smq.make_marriage([1, 2])
+    with pytest.raises(ValueError, match="not a non-empty list"):
+        smq.make_marriage([])
     # equal to indices, but not indices
     with pytest.raises(ValueError):
         smq.make_marriage([True, False])
@@ -221,6 +223,8 @@ def test_random_instance_is_valid_and_deterministic():
 
 
 def test_random_instance_needs_enough_scores():
+    with pytest.raises(ValueError, match="n must be positive"):
+        smq.random_instance(0, seed=0)
     with pytest.raises(ValueError):
         smq.random_instance(5, seed=0, max_score=4)
     tight = smq.random_instance(5, seed=0, max_score=5)

@@ -90,23 +90,10 @@ def exact(*args):
     return True
 
 
-@given(tie_heavy_instances(min_n=6), alphas)
-@settings(max_examples=40)
-def test_forward_checking_matches_the_pairwise_scan(inst, alpha):
-    with patch.object(oracle, "is_stable", exact):
-        for notion in NOTIONS:
-            a = alpha if notion == "alpha" else None
-            matches = [m.partner_of_man for m in _scan(inst, notion, a)]
-            assert matches == reference_pruned_scan(inst, notion, a), notion
-            for first in range(inst.n):
-                part = [m.partner_of_man for m in _scan(inst, notion, a, first)]
-                assert part == reference_pruned_scan(inst, notion, a, first), (notion, first)
-
-
 @given(tie_heavy_instances(min_n=6, max_n=9), alphas)
-@settings(max_examples=15)
-def test_the_uncertified_search_matches_the_pairwise_scan(inst, alpha):
-    # the reference's part for one first woman is its slice of the whole
+@settings(max_examples=30)
+def test_forward_checking_matches_the_pairwise_scan(inst, alpha):
+    # the whole search, then each part for one first woman as its slice
     with patch.object(oracle, "is_stable", exact):
         for notion in NOTIONS:
             a = alpha if notion == "alpha" else None
@@ -141,8 +128,7 @@ def test_masks_match_their_definition(inst, alpha):
 def test_dense_stable_set_is_annotated_fast():
     # 6,394 of the 40,320 marriages are stable and 32 undominated: testing
     # every member against every other would take about 40.9 million
-    # dominance tests, the pairwise skyline took 17,180, and the indexed
-    # skyline takes one per dominated member
+    # dominance tests, and the indexed skyline takes one per dominated member
     inst = smq.random_instance(8, seed=5, max_score=8)
     start = time.perf_counter()
     with patch.object(oracle, "dominates", wraps=oracle.dominates) as dominates:
