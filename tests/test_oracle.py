@@ -91,14 +91,24 @@ def exact(*args):
 
 
 @given(tie_heavy_instances(min_n=6, max_n=9), alphas)
-@settings(max_examples=30)
+@settings(max_examples=20)
 def test_forward_checking_matches_the_pairwise_scan(inst, alpha):
-    # the whole search, then each part for one first woman as its slice
+    # the whole search
+    with patch.object(oracle, "is_stable", exact):
+        for notion in NOTIONS:
+            a = alpha if notion == "alpha" else None
+            matches = [m.partner_of_man for m in _scan(inst, notion, a)]
+            assert matches == reference_pruned_scan(inst, notion, a), notion
+
+
+@given(tie_heavy_instances(min_n=6, max_n=9), alphas)
+@settings(max_examples=15)
+def test_the_uncertified_search_matches_the_pairwise_scan(inst, alpha):
+    # each part for one first woman, as its slice of the whole reference
     with patch.object(oracle, "is_stable", exact):
         for notion in NOTIONS:
             a = alpha if notion == "alpha" else None
             expected = reference_pruned_scan(inst, notion, a)
-            assert [m.partner_of_man for m in _scan(inst, notion, a)] == expected, notion
             for first in range(inst.n):
                 part = [m.partner_of_man for m in _scan(inst, notion, a, first)]
                 assert part == [m for m in expected if m[0] == first], (notion, first)
