@@ -72,6 +72,9 @@ print("  popularity orders:", [smq.man_name(m) for m in men_order],
       [smq.woman_name(w) for w in women_order])
 print("  guided solver:     ", solver.partner_of_man)
 print("  enumerated optimum:", optimum.partner_of_man)
-assert solver != optimum
+solver_key, optimum_key = (smq.lex_key(m, men_order, women_order) for m in (solver, optimum))
+print("  lex keys (popularity rank of each man's partner, men by popularity):",
+      solver_key, "vs", optimum_key)
+assert optimum_key < solver_key
 assert smq.blocking_pairs(market, solver, "alpha", 1).stable
 print("  both are stable; only the lexicographic ranking differs")

@@ -10,8 +10,6 @@ orders produced by a voting rule.
 
 from __future__ import annotations
 
-import heapq
-
 from .gale_shapley import gs
 from .instances import Marriage, QuantInstance, StrictProfile, _rank_rows, _Record
 from .stability import _check_notion, _table
@@ -110,43 +108,69 @@ def linearize(
     result is always a linear extension, and it is the guide-lexicographically
     best one; lists that are already total come out unchanged.
 
-    The greedy runs as one sweep per list in descending score. With M the
-    highest remaining score, candidate c is unbeaten exactly when
-    score(c) > M - alpha, so candidates join a heap keyed by guide rank as
-    soon as they clear that floor, and each step pops the heap's best. The
-    floor never rises, so a candidate in the heap stays unbeaten until it is
-    popped. Cost: O(n log n) per list, O(n^2 log n) for the profile.
+    The greedy walks each list in phases, in descending score. With `top`
+    the best-scored candidate not yet emitted, candidate c is unbeaten
+    exactly when score(c) > score(top) - alpha. That floor, and with it the
+    window of unbeaten candidates, stays put until `top` is emitted, so one
+    phase emits every window member the guide ranks above `top`, best first,
+    and then `top`. The window is an int with bit r set for its member of
+    guide rank r: the members ranked above `top` are its bits below top's,
+    and they leave lowest bit first. At alpha 1 a list with distinct scores
+    is total, so it comes out as the kept ranking. Cost per list: O(n)
+    operations on ints of up to n bits (each candidate enters the window, is
+    passed over by `top` and leaves it once, plus a constant per phase), so
+    O(n^2 / w) for w-bit machine words and O(n^3 / w) for the profile.
 
     Raises ValueError unless both orders permute 0..n-1.
     """
     _check_orders(semiorder.n, men_order, women_order)
-    men_rank = {m: r for r, m in enumerate(men_order)}
-    women_rank = {w: r for r, w in enumerate(women_order)}
+    men_bit, women_bit = _bits(men_order), _bits(women_order)
     scores, alpha = _table(semiorder.instance, "alpha", semiorder.alpha)
-    men_prefs = tuple(_sweep(row, by_score, alpha, women_rank)
+    men_prefs = tuple(_sweep(row, by_score, alpha, women_bit, women_order)
                       for row, by_score in zip(scores.men_scores, scores._ranking("men")))
-    women_prefs = tuple(_sweep(row, by_score, alpha, men_rank)
+    women_prefs = tuple(_sweep(row, by_score, alpha, men_bit, men_order)
                         for row, by_score in zip(scores.women_scores, scores._ranking("women")))
     return StrictProfile(men_prefs, women_prefs)
 
 
+def _bits(order: TotalOrder) -> list[int]:
+    """bit[c] = 1 << (c's rank in the order)."""
+    bit = [0] * len(order)
+    for r, c in enumerate(order):
+        bit[c] = 1 << r
+    return bit
+
+
 def _sweep(row: tuple[int, ...], by_score: tuple[int, ...], alpha: int,
-           guide_rank: dict[int, int]) -> tuple[int, ...]:
-    emitted = [False] * len(row)
-    heap: list[tuple[int, int]] = []
-    top = entered = 0  # by_score[top] scores M; by_score[entered:] are not in the heap
+           bit: list[int], guide: TotalOrder) -> tuple[int, ...]:
+    """One list's greedy extension, guided by `guide` and its `_bits`."""
+    n = len(row)
+    if alpha == 1 and len(set(row)) == n:
+        return by_score
+    window = top = entered = 0  # by_score[entered:] have not entered the window
     out = []
-    for _ in by_score:
-        while emitted[by_score[top]]:
-            top += 1
-        floor = row[by_score[top]] - alpha
-        while entered < len(row) and row[by_score[entered]] > floor:
-            c = by_score[entered]
-            heapq.heappush(heap, (guide_rank[c], c))
+    while top < n:
+        c = by_score[top]
+        floor = row[c] - alpha
+        while entered < n and row[by_score[entered]] > floor:
+            window |= bit[by_score[entered]]
             entered += 1
-        c = heapq.heappop(heap)[1]
-        emitted[c] = True
+        b = bit[c]
+        if window == b:  # top alone: once it is out, the next top is the next to enter
+            window = 0
+            out.append(c)
+            top = entered
+            continue
+        ahead = window & (b - 1)
+        window ^= ahead | b
+        while ahead:
+            low = ahead & -ahead
+            out.append(guide[low.bit_length() - 1])
+            ahead ^= low
         out.append(c)
+        top += 1
+        while top < entered and not window & bit[by_score[top]]:
+            top += 1
     return tuple(out)
 
 

@@ -9,10 +9,10 @@ search, in O(n^2), by four prefix-OR walks down the kept rankings of both
 sides. Every member is certified by `is_stable`, so a fault in the cut could
 only drop members. The weak-stability filter scans every permutation. Both
 are exponential in the worst case, so the module refuses instances above a
-configurable size bound instead of silently sampling. It exists to certify
-the solvers: exact stable sets per notion, dominance-free subsets,
-lexicographic optima, highest-strength marriages, and the weak-stability
-dual filters used to cross-check set equalities.
+configurable size bound instead of silently sampling; it refuses empty ones
+too. It exists to certify the solvers: exact stable sets per notion,
+dominance-free subsets, lexicographic optima, highest-strength marriages,
+and the weak-stability dual filters used to cross-check set equalities.
 
 Each instance keeps its last search per notion, so `enumerate_stable`,
 `lex_optimum`, `highest_link` and `feasible_partners` on one instance share
@@ -28,7 +28,7 @@ from operator import and_, getitem
 from .alpha import SemiorderProfile, TotalOrder, _check_orders
 from .instances import Marriage, QuantInstance, ScoredProfile, WeakProfile, _Record
 from .link import _check_mode, _totals, marriage_link
-from .stability import _check_notion, _table, dominates, is_stable, lex_key
+from .stability import _check_notion, _lex_key, _table, dominates, is_stable
 
 DEFAULT_SIZE_BOUND = 8
 
@@ -81,6 +81,8 @@ class StableSet(_Record):
 
 
 def _check_bound(n: int, size_bound: int) -> None:
+    if n < 1:
+        raise ValueError(f"instance size {n}: the oracle needs at least one man and one woman")
     if n > size_bound:
         raise SizeBoundError(
             f"instance size {n} exceeds the enumeration bound {size_bound}"
@@ -249,7 +251,8 @@ def enumerate_stable(
     no skyline member is dominated). The link totals are read from the kept
     strength tables.
 
-    Raises SizeBoundError when n exceeds size_bound (default 8).
+    Raises SizeBoundError when n exceeds size_bound (default 8), and
+    ValueError when n < 1, as every query of this module does.
     """
     stable = _stable_marriages(instance, notion, alpha, size_bound, jobs)
     profile = _table(instance, "classical", None)[0]
@@ -297,7 +300,8 @@ def lex_optimum(
     unless both orders permute 0..n-1."""
     _check_orders(instance.n, men_order, women_order)
     stable = _stable_marriages(instance, "alpha", alpha, size_bound)
-    return min(stable, key=lambda m: lex_key(m, men_order, women_order))
+    rank = {w: r for r, w in enumerate(women_order)}
+    return min(stable, key=lambda m: _lex_key(m, men_order, rank))
 
 
 def highest_link(

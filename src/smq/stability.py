@@ -189,5 +189,10 @@ def lex_key(marriage: Marriage, men_order, women_order) -> tuple[int, ...]:
     """Sort key for the popularity-lexicographic marriage order: the
     women_order rank of each man's partner, men scanned in men_order.
     Smaller keys are better (rank 0 is the most popular woman)."""
-    rank = {w: r for r, w in enumerate(women_order)}
+    return _lex_key(marriage, men_order, {w: r for r, w in enumerate(women_order)})
+
+
+def _lex_key(marriage: Marriage, men_order, rank: dict[int, int]) -> tuple[int, ...]:
+    """:func:`lex_key` with women_order given as rank[w], so a caller that
+    compares many marriages builds the ranks once."""
     return tuple(rank[marriage.partner_of_man[m]] for m in men_order)

@@ -57,6 +57,19 @@ def test_size_bound_is_enforced():
     smq.enumerate_stable(big, "classical", size_bound=9)  # override works
 
 
+@pytest.mark.parametrize("query", [
+    lambda q: smq.enumerate_stable(q, "classical"),
+    lambda q: smq.lex_optimum(q, 1, (), ()),
+    lambda q: smq.highest_link(q, "add"),
+    lambda q: smq.feasible_partners(q, 1),
+    lambda q: smq.weakly_stable_set(smq.alpha_transform(q, 1)),
+], ids=["enumerate_stable", "lex_optimum", "highest_link", "feasible_partners",
+        "weakly_stable_set"])
+def test_empty_instance_is_refused(query):
+    with pytest.raises(ValueError, match="at least one man and one woman"):
+        query(smq.QuantInstance(0, (), ()))
+
+
 def test_worker_partitioning_is_deterministic():
     for seed in (3, 4):
         sequential = smq.enumerate_stable(smq.random_instance(5, seed=seed), "classical")
