@@ -11,8 +11,8 @@ orders produced by a voting rule.
 from __future__ import annotations
 
 from .gale_shapley import gs
-from .instances import Marriage, QuantInstance, StrictProfile, _rank_rows, _Record
-from .stability import _check_notion, _table
+from .instances import Marriage, QuantInstance, StrictProfile, _check_orders, _rank_rows, _Record
+from .stability import _check_notion
 
 TotalOrder = tuple[int, ...]
 # A voting rule turns a ballot matrix (ballots[v][c] = voter v's score for
@@ -89,13 +89,6 @@ def popularity_orders(instance: QuantInstance, rule=score_sum_rule):
     return rule(instance.women_scores), rule(instance.men_scores)
 
 
-def _check_orders(n: int, *orders: TotalOrder) -> None:
-    """Raise ValueError unless each popularity order permutes 0..n-1."""
-    for order in orders:
-        if sorted(order) != list(range(n)):
-            raise ValueError(f"order {list(order)} is not a permutation of 0..{n - 1}")
-
-
 def linearize(
     semiorder: SemiorderProfile, men_order: TotalOrder, women_order: TotalOrder
 ) -> StrictProfile:
@@ -125,11 +118,11 @@ def linearize(
     """
     _check_orders(semiorder.n, men_order, women_order)
     men_bit, women_bit = _bits(men_order), _bits(women_order)
-    scores, alpha = _table(semiorder.instance, "alpha", semiorder.alpha)
+    instance, alpha = semiorder.instance, semiorder.alpha
     men_prefs = tuple(_sweep(row, by_score, alpha, women_bit, women_order)
-                      for row, by_score in zip(scores.men_scores, scores._ranking("men")))
+                      for row, by_score in zip(instance.men_scores, instance._ranking("men")))
     women_prefs = tuple(_sweep(row, by_score, alpha, men_bit, men_order)
-                        for row, by_score in zip(scores.women_scores, scores._ranking("women")))
+                        for row, by_score in zip(instance.women_scores, instance._ranking("women")))
     return StrictProfile(men_prefs, women_prefs)
 
 

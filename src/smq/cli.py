@@ -168,7 +168,7 @@ def _cmd_solve(args) -> int:
     alpha = _require_alpha(args, args.notion == "lex-alpha", "--notion lex-alpha")
     if args.notion in ("male", "female"):
         side = "men" if args.notion == "male" else "women"
-        marriage = gs(derive_classical(instance), side)
+        marriage = gs(instance, side)
     elif args.notion == "lex-alpha":
         marriage = lex_male_alpha_gs(instance, alpha)
     else:

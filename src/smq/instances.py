@@ -89,37 +89,63 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class QuantInstance(_Record):
+class ScoredProfile(_Record):
+    """Preferences as values: men_scores[i][j] is man i's value for woman j,
+    women_scores[i][j] woman i's value for man j. Higher is preferred, and
+    equal values go to the lower index: the order :func:`derive_classical`
+    lists. Deferred acceptance reads the receivers' rows as they stand.
+
+    `_kept`, a slot outside the fields that ``==``, ``hash``, ``repr`` and
+    pickling ignore, is the one memo of results derived from the rows, so
+    the rows must never be mutated; a record has no ``__dict__``, so it
+    slows no attribute load. Its keys fall in three disjoint sets, each
+    filled by one reader: :meth:`_ranking` keeps each side's rankings under
+    ``"men"`` and ``"women"``; `link._strengths` keeps the pair-strength
+    profile of each mode under ``"add"`` and ``"max"``; and
+    `oracle._stable_marriages` keeps ``(alpha, marriages)``, the last
+    search of a notion, under the notion's name. A pickled profile carries
+    none of them."""
+
+    _fields = ("men_scores", "women_scores")
+    __slots__ = (*_fields, "_kept")
+
+    def __init__(self, men_scores: Matrix, women_scores: Matrix):
+        object.__setattr__(self, "men_scores", men_scores)
+        object.__setattr__(self, "women_scores", women_scores)
+        object.__setattr__(self, "_kept", {})
+
+    def _ranking(self, side: str) -> Matrix:
+        """Every row of one side ("men" or "women") ranked by :func:`_rank_rows`."""
+        ranked = self._kept.get(side)
+        if ranked is None:
+            rows = self.men_scores if side == "men" else self.women_scores
+            ranked = self._kept[side] = _rank_rows(rows)
+        return ranked
+
+
+class QuantInstance(ScoredProfile):
     """A scored market: men_scores[i][j] is man i's score for woman j,
-    women_scores[i][j] is woman i's score for man j.
+    women_scores[i][j] is woman i's score for man j. It is the
+    :class:`ScoredProfile` of its scores, the value table of classical and
+    alpha stability, and keeps its derived results in the memo that
+    :class:`ScoredProfile` describes.
 
     Construct through :func:`validate` (or :func:`parse_instance`) unless the
-    data is known to satisfy the invariants already. Immutable and hashable:
-    derived results are kept on the instance, so the scores must never be
-    mutated.
-
-    `_kept`, a slot outside the fields, is the one memo of derived
-    results; a record has no ``__dict__``, so keeping them slows no
-    attribute load. ``_kept["tables"]`` holds one :class:`ScoredProfile`
-    per value table, whose rankings every reader shares: the scores, for
-    the classical and alpha paths, and `link._strengths` of each mode.
-    `oracle._stable_marriages` fills ``_kept["search"][notion]`` with
-    ``(alpha, marriages)``, the last search of that notion, so an instance
-    keeps at most three tables and four searches. ``==``, ``hash``,
-    ``repr`` and pickling read the fields alone, so a pickled instance
-    carries no kept results.
+    data is known to satisfy the invariants already. Building one raises
+    ValueError unless both matrices have n rows; ragged rows and the scores
+    themselves are left to :func:`validate`. Immutable and hashable, and
+    never equal to a bare :class:`ScoredProfile` of the same scores.
     """
 
     _fields = ("n", "men_scores", "women_scores")
-    __slots__ = (*_fields, "_kept")
+    __slots__ = ("n",)
 
     def __init__(self, n: int, men_scores: Matrix, women_scores: Matrix):
+        if not len(men_scores) == len(women_scores) == n:
+            raise NonSquareError(f"an instance of size {n} needs {n} rows per matrix, "
+                                 f"got {len(men_scores)} and {len(women_scores)}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "men_scores", men_scores)
-        object.__setattr__(self, "women_scores", women_scores)
-        scores = ScoredProfile(men_scores, women_scores)
-        # one section per filler; str keys hash once, tuple keys on every lookup
-        object.__setattr__(self, "_kept", {"tables": {"scores": scores}, "search": {}})
+        ScoredProfile.__init__(self, men_scores, women_scores)
 
 
 class StrictProfile(_Record):
@@ -137,33 +163,6 @@ class StrictProfile(_Record):
         object.__setattr__(self, "men_prefs", men_prefs)
         object.__setattr__(self, "women_prefs", women_prefs)
         object.__setattr__(self, "_source", None)
-
-
-class ScoredProfile(_Record):
-    """Preferences as values: men_scores[i][j] is man i's value for woman j,
-    women_scores[i][j] woman i's value for man j. Higher is preferred, and
-    equal values go to the lower index: the order :func:`derive_classical`
-    lists. Deferred acceptance reads the receivers' rows as they stand.
-
-    `_ranked`, a slot outside the fields that ``==``, ``hash``, ``repr``
-    and pickling ignore, keeps each side's rankings in that order once a
-    reader asks (:meth:`_ranking`), so the rows must never be mutated."""
-
-    _fields = ("men_scores", "women_scores")
-    __slots__ = (*_fields, "_ranked")
-
-    def __init__(self, men_scores: Matrix, women_scores: Matrix):
-        object.__setattr__(self, "men_scores", men_scores)
-        object.__setattr__(self, "women_scores", women_scores)
-        object.__setattr__(self, "_ranked", {})
-
-    def _ranking(self, side: str) -> Matrix:
-        """Every row of one side ("men" or "women") ranked by :func:`_rank_rows`."""
-        ranked = self._ranked.get(side)
-        if ranked is None:
-            rows = self.men_scores if side == "men" else self.women_scores
-            ranked = self._ranked[side] = _rank_rows(rows)
-        return ranked
 
 
 class Marriage(_Record):
@@ -187,6 +186,25 @@ class Marriage(_Record):
 
     def pairs(self) -> list[tuple[int, int]]:
         return list(enumerate(self.partner_of_man))
+
+
+def _partners(instance: QuantInstance, marriage: Marriage) -> tuple[int, ...]:
+    """The marriage's partner_of_man, after a ValueError unless it has the
+    instance's size; a :class:`Marriage` is a permutation already, so that
+    is all a reader tests."""
+    match = marriage.partner_of_man
+    if len(match) != instance.n:
+        raise ValueError(f"a marriage of size {len(match)} ({list(match)}) is not a "
+                         f"permutation of the women of an instance of size {instance.n}")
+    return match
+
+
+def _check_orders(n: int, *orders: tuple[int, ...]) -> None:
+    """Raise ValueError unless each order permutes 0..n-1 with int entries:
+    a float or bool that equals an index is not one."""
+    for order in orders:
+        if not set(map(type, order)) <= {int} or sorted(order) != list(range(n)):
+            raise ValueError(f"order {list(order)} is not a permutation of 0..{n - 1}")
 
 
 PairList = tuple[tuple[int, int], ...]
@@ -259,9 +277,8 @@ def _checked_matrix(side: str, n: int, rows) -> Matrix:
 def derive_classical(instance: QuantInstance) -> StrictProfile:
     """Keep only the orderings the scores induce: each list is sorted by
     strictly decreasing own score."""
-    scores = instance._kept["tables"]["scores"]
-    profile = StrictProfile(scores._ranking("men"), scores._ranking("women"))
-    object.__setattr__(profile, "_source", scores)
+    profile = StrictProfile(instance._ranking("men"), instance._ranking("women"))
+    object.__setattr__(profile, "_source", instance)
     return profile
 
 
@@ -283,14 +300,6 @@ def make_marriage(values) -> Marriage:
     if set(map(type, match)) != {int}:
         raise ValueError(f"{list(match)} is not a non-empty list of int indices")
     return Marriage(match)
-
-
-def _misfit(instance: QuantInstance, marriage: Marriage) -> ValueError:
-    """The error for a marriage whose size is not the instance's; a
-    :class:`Marriage` is a permutation already, so that is all a reader tests."""
-    match = marriage.partner_of_man
-    return ValueError(f"a marriage of size {len(match)} ({list(match)}) is not a "
-                      f"permutation of the women of an instance of size {instance.n}")
 
 
 def parse_instance(text: str) -> QuantInstance:

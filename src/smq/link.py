@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 
 from .gale_shapley import gs
-from .instances import Marriage, QuantInstance, ScoredProfile, WeakProfile, _misfit
+from .instances import Marriage, QuantInstance, ScoredProfile, WeakProfile, _partners
 
 MODES = ("add", "max")
 
@@ -24,7 +24,11 @@ def _check_mode(mode: str) -> None:
 
 
 def link_value(instance: QuantInstance, man: int, woman: int, mode: str) -> int:
-    """Strength of one pair, as :func:`_strengths` keeps it: sum for 'add', max for 'max'."""
+    """Strength of one pair, as :func:`_strengths` keeps it: sum for 'add',
+    max for 'max'. Raises ValueError unless both indices are ints in 0..n-1."""
+    for index in (man, woman):
+        if type(index) is not int or not 0 <= index < instance.n:
+            raise ValueError(f"{index!r} is not an index of an instance of size {instance.n}")
     return _strengths(instance, mode).men_scores[man][woman]
 
 
@@ -32,10 +36,7 @@ def marriage_link(instance: QuantInstance, marriage: Marriage, mode: str) -> int
     """Aggregate strength of a marriage: sum of pair strengths for 'add',
     maximum pair strength for 'max'. Raises ValueError unless the marriage
     has the instance's size; :class:`Marriage` checks the rest."""
-    match = marriage.partner_of_man
-    if len(match) != instance.n:
-        raise _misfit(instance, marriage)
-    return _totals(instance, [match], mode)[0]
+    return _totals(instance, [_partners(instance, marriage)], mode)[0]
 
 
 def _totals(instance: QuantInstance, matches, mode: str) -> list[int]:
@@ -64,8 +65,8 @@ def _strengths(instance: QuantInstance, mode: str) -> ScoredProfile:
     transpose). Built once per instance and mode and kept on the instance
     with its rankings; every reader shares it, so none may mutate it."""
     _check_mode(mode)
-    tables = instance._kept["tables"]
-    if mode not in tables:
+    kept = instance._kept
+    if mode not in kept:
         # zip(*women_scores) yields the women's columns, one per man
         rows = zip(instance.men_scores, zip(*instance.women_scores))
         if mode == "add":
@@ -75,8 +76,8 @@ def _strengths(instance: QuantInstance, mode: str) -> ScoredProfile:
             # the builtin max() per pair costs more than the comparison itself
             values = [[a if a > b else b for a, b in zip(men_row, women_column)]
                       for men_row, women_column in rows]
-        tables[mode] = ScoredProfile(values, list(zip(*values)))
-    return tables[mode]
+        kept[mode] = ScoredProfile(values, list(zip(*values)))
+    return kept[mode]
 
 
 def has_ties(profile: WeakProfile) -> bool:

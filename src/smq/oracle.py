@@ -25,8 +25,8 @@ import itertools
 from functools import reduce
 from operator import and_, getitem
 
-from .alpha import SemiorderProfile, TotalOrder, _check_orders
-from .instances import Marriage, QuantInstance, ScoredProfile, WeakProfile, _Record
+from .alpha import SemiorderProfile, TotalOrder
+from .instances import Marriage, QuantInstance, ScoredProfile, WeakProfile, _check_orders, _Record
 from .link import _check_mode, _totals, marriage_link
 from .stability import _check_notion, _lex_key, _table, dominates, is_stable
 
@@ -201,8 +201,7 @@ def _stable_marriages(
     count. Both checks run on every call."""
     _check_bound(instance.n, size_bound)
     _check_notion(notion, alpha)
-    searches = instance._kept["search"]
-    kept = searches.get(notion)
+    kept = instance._kept.get(notion)
     if kept is not None and kept[0] == alpha:
         return kept[1]
     if jobs > 1 and instance.n > 1:
@@ -220,7 +219,7 @@ def _stable_marriages(
             stable = tuple(m for part in parts for m in part)
     else:
         stable = tuple(_scan(instance, notion, alpha))
-    searches[notion] = alpha, stable
+    instance._kept[notion] = alpha, stable
     return stable
 
 
@@ -255,8 +254,7 @@ def enumerate_stable(
     ValueError when n < 1, as every query of this module does.
     """
     stable = _stable_marriages(instance, notion, alpha, size_bound, jobs)
-    profile = _table(instance, "classical", None)[0]
-    men, ranking = profile.men_scores, profile._ranking("men")
+    men, ranking = instance.men_scores, instance._ranking("men")
     matches = [m.partner_of_man for m in stable]
     sums = [sum(map(getitem, men, match)) for match in matches]
     flags = [False] * len(stable)

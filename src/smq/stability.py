@@ -15,7 +15,7 @@ found, and reads a witness for each pair it reports from the table.
 from __future__ import annotations
 
 from . import link
-from .instances import Marriage, QuantInstance, ScoredProfile, _misfit, _Record
+from .instances import Marriage, QuantInstance, ScoredProfile, _check_orders, _partners, _Record
 
 NOTIONS = ("classical", "alpha", "link-add", "link-max")
 
@@ -68,12 +68,12 @@ def _table(instance: QuantInstance, notion: str, alpha: int | None) -> tuple[Sco
     """(profile, g) such that, under the notion, (m, w) blocks a marriage
     exactly when U[m][w] >= U[m][w'] + g and W[w][m] >= W[w][m'] + g, where
     (U, W) are the profile's rows, w' is m's partner and m' is w's. U is
-    indexed by man and W by woman: the kept scores for the gap notions, with
-    g = 1 (scores are integers, so a strict preference is a gain of at least
-    1) or alpha; the kept strength table and its transpose for the link
-    notions, with g = 1."""
+    indexed by man and W by woman: the instance itself for the gap notions,
+    with g = 1 (scores are integers, so a strict preference is a gain of at
+    least 1) or alpha; the kept strength table and its transpose for the
+    link notions, with g = 1."""
     if notion == "classical" or notion == "alpha":
-        return instance._kept["tables"]["scores"], 1 if notion == "classical" else alpha
+        return instance, 1 if notion == "classical" else alpha
     return link._strengths(instance, notion.removeprefix("link-")), 1
 
 
@@ -81,9 +81,7 @@ def _audit(instance: QuantInstance, marriage: Marriage, notion: str, alpha: int 
     """(profile, g, match) for both audits, after their checks: a ValueError
     unless alpha fits the notion and the marriage has the instance's size."""
     _check_notion(notion, alpha)
-    match = marriage.partner_of_man
-    if len(match) != instance.n:
-        raise _misfit(instance, marriage)
+    match = _partners(instance, marriage)
     return *_table(instance, notion, alpha), match
 
 
@@ -174,9 +172,7 @@ def dominates(instance: QuantInstance, first: Marriage, second: Marriage) -> boo
     Irreflexive: a marriage never dominates itself. Raises ValueError
     unless both have the instance's size; :class:`Marriage` checks the rest.
     """
-    first_match, second_match = first.partner_of_man, second.partner_of_man
-    if not len(first_match) == len(second_match) == instance.n:
-        raise _misfit(instance, second if len(first_match) == instance.n else first)
+    first_match, second_match = _partners(instance, first), _partners(instance, second)
     strict = False
     for row, a, b in zip(instance.men_scores, first_match, second_match):
         if row[a] < row[b]:
@@ -188,7 +184,9 @@ def dominates(instance: QuantInstance, first: Marriage, second: Marriage) -> boo
 def lex_key(marriage: Marriage, men_order, women_order) -> tuple[int, ...]:
     """Sort key for the popularity-lexicographic marriage order: the
     women_order rank of each man's partner, men scanned in men_order.
-    Smaller keys are better (rank 0 is the most popular woman)."""
+    Smaller keys are better (rank 0 is the most popular woman). Raises
+    ValueError unless both orders permute the marriage's indices."""
+    _check_orders(len(marriage.partner_of_man), men_order, women_order)
     return _lex_key(marriage, men_order, {w: r for r, w in enumerate(women_order)})
 
 

@@ -194,6 +194,22 @@ def test_linearize_refuses_orders_that_are_not_permutations():
             smq.linearize(semi, full, bad)
 
 
+def test_orders_must_hold_int_indices():
+    inst = smq.random_instance(4, 3, 6)
+    semi, full = smq.alpha_transform(inst, 2), (0, 1, 2, 3)
+    marriage = smq.Marriage(full)
+    for bad in ((0.0, 1, 2, 3), (0, True, 2, 3), (0, 1)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            smq.linearize(semi, bad, full)
+        with pytest.raises(ValueError, match="not a permutation"):
+            smq.lex_optimum(inst, 1, bad, full)
+        with pytest.raises(ValueError, match="not a permutation"):
+            smq.lex_key(marriage, bad, full)
+        with pytest.raises(ValueError, match="not a permutation"):
+            smq.lex_key(marriage, full, bad)
+    assert smq.lex_key(smq.Marriage(()), (), ()) == ()
+
+
 def test_equal_totals_break_by_lower_index():
     assert smq.score_sum_rule(((1, 2), (2, 1))) == (0, 1)
 

@@ -51,8 +51,7 @@ def test_src_imports_only_the_standard_library_and_smq():
 
 # The functions outside instances.py, its owner, that read the memo of kept
 # results; every other reader goes through them.
-KEPT_READERS = {("link.py", "_strengths"), ("stability.py", "_table"),
-                ("oracle.py", "_stable_marriages")}
+KEPT_READERS = {("link.py", "_strengths"), ("oracle.py", "_stable_marriages")}
 
 
 def test_only_the_accessors_read_the_kept_results():

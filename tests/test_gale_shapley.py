@@ -124,6 +124,16 @@ def test_derived_lists_propose_as_the_same_plain_lists(inst):
         assert smq.gs(derived, side) == smq.gs(plain, side), side
 
 
+@given(st.one_of(tie_heavy_instances(), instances(), repeating_rows()))
+def test_an_instance_proposes_as_its_scores_and_its_classical_lists(inst):
+    # an instance is the ScoredProfile of its scores, so gs takes it as one
+    for side in ("men", "women"):
+        profiles = (inst, smq.derive_classical(inst), scored(inst))
+        assert len({smq.gs(profile, side) for profile in profiles}) == 1, side
+        traces = [smq.step_trace(profile, side) for profile in profiles]
+        assert traces[0] == traces[1] == traces[2], side
+
+
 @given(instances(max_n=4))
 @settings(max_examples=60)
 def test_proposer_optimality_against_enumeration(inst):

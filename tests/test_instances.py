@@ -109,6 +109,16 @@ def test_non_square_rejected():
         smq.validate(2, [[9, 1, 5], [3, 2, 4]], [[1, 2], [3, 1]])
 
 
+def test_an_instance_needs_n_rows_per_matrix():
+    rows = ((1, 2), (3, 4))
+    for n, men, women in ((3, rows, rows), (1, rows, rows), (2, rows, rows[:1]),
+                          (2, rows[:1], rows)):
+        with pytest.raises(ValueError, match="rows per matrix"):
+            smq.QuantInstance(n, men, women)
+    # the oracle's refusal of an empty instance needs one to exist
+    assert smq.QuantInstance(0, (), ()).n == 0
+
+
 def test_non_integer_score_rejected():
     with pytest.raises(smq.InvalidInstanceError):
         smq.validate(1, [[1.5]], [[2]])

@@ -21,6 +21,13 @@ from references import (
 ALL_TIED = smq.QuantInstance(2, ((1, 2), (2, 1)), ((2, 1), (1, 2)))
 
 
+def test_pair_strength_needs_int_indices_in_range():
+    inst = smq.random_instance(4, 1, 10)
+    for man, woman in ((-1, 0), (9, 0), (0, 4), (0, -4), (True, 0), (0, 1.0), ("0", 0)):
+        with pytest.raises(ValueError, match="is not an index"):
+            smq.link_value(inst, man, woman, "add")
+
+
 def test_pair_strengths():
     assert smq.link_value(P_C, 0, 0, "add") == 35
     assert smq.link_value(P_C, 1, 1, "add") == 5

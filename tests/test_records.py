@@ -92,6 +92,7 @@ def test_a_record_survives_a_pickle_round_trip(record, fields, text):
 def test_records_compare_by_class_and_fields():
     a, b = P_B.men_scores, P_B.women_scores
     assert smq.StrictProfile(a, b) != smq.ScoredProfile(a, b)
+    assert smq.QuantInstance(2, a, b) != smq.ScoredProfile(a, b)
     assert smq.Marriage((0, 1)) != ((0, 1),) and smq.Marriage((0, 1)) != smq.Marriage((1, 0))
     assert smq.Proposal(0, 1, "engaged") == smq.Proposal(0, 1, "engaged", None)
     # workers of --jobs return lists of marriages
@@ -107,8 +108,20 @@ def test_kept_results_stay_out_of_the_record():
     assert inst._kept != empty
     assert inst == P_B and hash(inst) == hash(P_B) and repr(inst) == repr(P_B)
     clone = pickle.loads(pickle.dumps(inst))
-    # the kept profiles compare by their fields, so look at the rankings too
-    assert clone._kept == empty and not clone._kept["tables"]["scores"]._ranked
+    assert clone._kept == empty == {}
+
+
+def test_the_memo_holds_exactly_the_three_readers_keys():
+    inst = smq.random_instance(4, seed=2, max_score=5)
+    smq.derive_classical(inst)
+    for mode in smq.link.MODES:
+        smq.link_transform(inst, mode)
+    for notion in smq.stability.NOTIONS:
+        smq.enumerate_stable(inst, notion, 2 if notion == "alpha" else None)
+    # the rankings, the pair-strength profiles and the searches
+    key_sets = ({"men", "women"}, set(smq.link.MODES), set(smq.stability.NOTIONS))
+    assert set(inst._kept) == set().union(*key_sets)
+    assert len(inst._kept) == sum(map(len, key_sets))
 
 
 def test_kept_rankings_stay_out_of_the_profiles():
@@ -120,11 +133,11 @@ def test_kept_rankings_stay_out_of_the_profiles():
     for side in ("men", "women"):
         smq.gs(scored, side)
         smq.gs(ranked, side)
-    assert scored._ranked and ranked._source is not None and ranked._source._ranked
+    assert scored._kept and ranked._source is not None and ranked._source._kept
     for profile, twin in ((scored, smq.ScoredProfile(P_B.men_scores, P_B.women_scores)),
                           (ranked, plain)):
         assert profile == twin and hash(profile) == hash(twin) and repr(profile) == repr(twin)
         clone = pickle.loads(pickle.dumps(profile))
         assert clone == twin and len(pickle.dumps(profile)) == len(pickle.dumps(twin))
-    assert pickle.loads(pickle.dumps(scored))._ranked == {}
+    assert pickle.loads(pickle.dumps(scored))._kept == {}
     assert pickle.loads(pickle.dumps(ranked))._source is None
