@@ -44,3 +44,9 @@ optimum = smq.lex_optimum(market, 2, men_order, women_order)
 print("guided solver:      ", solver.partner_of_man)
 print("enumerated optimum: ", optimum.partner_of_man)
 assert smq.blocking_pairs(market, solver, "alpha", 2).stable
+
+# What the solver always guarantees: it is the men-optimal stable marriage
+# of the strict profile the semiorder linearizes to.
+men_optimal = smq.gs(smq.linearize(semi, men_order, women_order), "men")
+print("men-optimal on the linearization:", men_optimal.partner_of_man)
+assert men_optimal == solver

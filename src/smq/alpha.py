@@ -10,7 +10,9 @@ orders produced by a voting rule.
 
 from __future__ import annotations
 
-from .gale_shapley import gs
+from collections.abc import Iterator
+
+from .gale_shapley import _solve, _values
 from .instances import Marriage, QuantInstance, StrictProfile, _check_orders, _rank_rows, _Record
 from .stability import _check_notion
 
@@ -117,13 +119,19 @@ def linearize(
     Raises ValueError unless both orders permute 0..n-1.
     """
     _check_orders(semiorder.n, men_order, women_order)
-    men_bit, women_bit = _bits(men_order), _bits(women_order)
     instance, alpha = semiorder.instance, semiorder.alpha
-    men_prefs = tuple(_sweep(row, by_score, alpha, women_bit, women_order)
-                      for row, by_score in zip(instance.men_scores, instance._ranking("men")))
-    women_prefs = tuple(_sweep(row, by_score, alpha, men_bit, men_order)
-                        for row, by_score in zip(instance.women_scores, instance._ranking("women")))
-    return StrictProfile(men_prefs, women_prefs)
+    return StrictProfile(tuple(map(tuple, _sweeps(instance, "men", alpha, women_order))),
+                         tuple(map(tuple, _sweeps(instance, "women", alpha, men_order))))
+
+
+def _sweeps(instance: QuantInstance, side: str, alpha: int, guide: TotalOrder) -> list:
+    """One list per person of one side, guided by the other side's order: a
+    lazy :func:`_sweep`, or the kept ranking of a row that alpha 1 leaves total."""
+    bit = _bits(guide)
+    rows = instance.men_scores if side == "men" else instance.women_scores
+    return [by_score if alpha == 1 and len(set(row)) == len(row)
+            else _sweep(row, by_score, alpha, bit, guide)
+            for row, by_score in zip(rows, instance._ranking(side))]
 
 
 def _bits(order: TotalOrder) -> list[int]:
@@ -135,13 +143,11 @@ def _bits(order: TotalOrder) -> list[int]:
 
 
 def _sweep(row: tuple[int, ...], by_score: tuple[int, ...], alpha: int,
-           bit: list[int], guide: TotalOrder) -> tuple[int, ...]:
-    """One list's greedy extension, guided by `guide` and its `_bits`."""
+           bit: list[int], guide: TotalOrder) -> Iterator[int]:
+    """Yield one list's greedy extension, guided by `guide` and its `_bits`,
+    one candidate per draw: a reader that stops early never walks the rest."""
     n = len(row)
-    if alpha == 1 and len(set(row)) == n:
-        return by_score
     window = top = entered = 0  # by_score[entered:] have not entered the window
-    out = []
     while top < n:
         c = by_score[top]
         floor = row[c] - alpha
@@ -151,32 +157,36 @@ def _sweep(row: tuple[int, ...], by_score: tuple[int, ...], alpha: int,
         b = bit[c]
         if window == b:  # top alone: once it is out, the next top is the next to enter
             window = 0
-            out.append(c)
+            yield c
             top = entered
             continue
         ahead = window & (b - 1)
         window ^= ahead | b
         while ahead:
             low = ahead & -ahead
-            out.append(guide[low.bit_length() - 1])
+            yield guide[low.bit_length() - 1]
             ahead ^= low
-        out.append(c)
+        yield c
         top += 1
         while top < entered and not window & bit[by_score[top]]:
             top += 1
-    return tuple(out)
 
 
 def lex_male_alpha_gs(
     instance: QuantInstance, alpha: int, rule=score_sum_rule
 ) -> Marriage:
-    """Popularity-guided solver for gap-threshold stability.
-
-    Computes both popularity orders with the voting rule, linearizes the
-    alpha semiorder along them, and runs deferred acceptance with men
-    proposing. The output is always alpha-stable, because any marriage with
+    """Popularity-guided solver for gap-threshold stability: men-proposing
+    deferred acceptance on the strict profile :func:`linearize` gives along
+    the voting rule's popularity orders, so that profile's men-optimal
+    stable marriage. It is always alpha-stable, because any marriage with
     no blocking pair in a linearization has none in the semiorder either.
+
+    The profile is never built whole: each woman's list is swept whole, as
+    a receiver compares any two proposers, and each man's is a lazy
+    :func:`_sweep` that deferred acceptance reads only as far as he proposes.
     """
-    semiorder = alpha_transform(instance, alpha)
+    alpha_transform(instance, alpha)  # refuses an alpha that is not an integer >= 1
     men_order, women_order = popularity_orders(instance, rule)
-    return gs(linearize(semiorder, men_order, women_order), "men")
+    _check_orders(instance.n, men_order, women_order)
+    women_values = _values(map(tuple, _sweeps(instance, "women", alpha, men_order)))
+    return _solve(_sweeps(instance, "men", alpha, women_order), women_values, "men")

@@ -54,8 +54,7 @@ def gs(profile: StrictProfile | ScoredProfile, proposing_side: str = "men") -> M
     outcome does not depend on that order; the fixed order just makes
     traces reproducible.
     """
-    marriage = Marriage(tuple(_deferred_acceptance(*_sides(profile, proposing_side))))
-    return marriage if proposing_side == "women" else Marriage(marriage.inverse())
+    return _solve(*_sides(profile, proposing_side), proposing_side)
 
 
 def step_trace(profile: StrictProfile | ScoredProfile,
@@ -73,55 +72,75 @@ def step_trace(profile: StrictProfile | ScoredProfile,
 
 
 def _sides(profile: StrictProfile | ScoredProfile, proposing_side: str):
-    """(proposer lists, receiver value rows) for the proposing side."""
+    """(proposer lists, receiver value rows) for the proposing side; raises
+    ValueError unless each side has n lists (or value rows) of n entries."""
     if proposing_side not in ("men", "women"):
         raise ValueError(f"proposing_side must be 'men' or 'women', got {proposing_side!r}")
-    men = proposing_side == "men"
     if isinstance(profile, StrictProfile) and profile._source is not None:
         profile = profile._source  # its rankings are the lists
-    if isinstance(profile, ScoredProfile):
-        return profile._ranking(proposing_side), profile.women_scores if men else profile.men_scores
-    proposers, receivers = ((profile.men_prefs, profile.women_prefs) if men
-                            else (profile.women_prefs, profile.men_prefs))
-    # a strict list as values: row[q] = n - 1 - position of q, higher preferred
+    scored = isinstance(profile, ScoredProfile)
+    tables = ((profile.men_scores, profile.women_scores) if scored
+              else (profile.men_prefs, profile.women_prefs))
+    proposers, receivers = tables if proposing_side == "men" else tables[::-1]
+    n = len(proposers)
+    if {len(receivers), *map(len, proposers), *map(len, receivers)} - {n}:
+        raise ValueError(f"deferred acceptance needs {n} lists or value rows "
+                         f"of {n} entries per side")
+    if scored:
+        return profile._ranking(proposing_side), receivers
+    return proposers, _values(receivers)
+
+
+def _values(lists) -> list[list[int]]:
+    """Strict lists as value rows: row[q] = n - 1 - position of q, higher preferred."""
     values = []
-    for prefs in receivers:
+    for prefs in lists:
         row = [0] * len(prefs)
         for v, q in enumerate(reversed(prefs)):
             row[q] = v
         values.append(row)
-    return proposers, values
+    return values
+
+
+def _solve(proposer_lists, receiver_values, proposing_side: str) -> Marriage:
+    """The marriage deferred acceptance reaches, as partner_of_man."""
+    marriage = Marriage(tuple(_deferred_acceptance(proposer_lists, receiver_values)))
+    return marriage if proposing_side == "women" else Marriage(marriage.inverse())
 
 
 def _deferred_acceptance(
-    proposer_prefs,
+    proposer_lists,
     receiver_values,
     trace: list[Proposal] | None = None,
 ) -> list[int]:
     """Core loop; returns fiance[r] = proposer engaged to receiver r.
 
-    Receiver r prefers proposer p over her fiance c when
+    A proposer's list may be any iterable; it is read best first and only
+    as far as he proposes. Receiver r prefers proposer p over her fiance c when
     ``receiver_values[r][p]`` is higher, or equal with p < c. Proposers
     enter in index order; an entrant proposes until he is engaged, and a
-    displaced fiance proposes next in his place.
+    displaced fiance proposes next in his place. Raises ValueError naming
+    the first proposer whose list runs out.
     """
-    n = len(proposer_prefs)
-    next_choice = [0] * n
+    n = len(proposer_lists)
+    choices = [iter(prefs) for prefs in proposer_lists]
     fiance: list[int | None] = [None] * n
-    for p in range(n):
-        while p is not None:
-            r = proposer_prefs[p][next_choice[p]]
-            next_choice[p] += 1
-            current = fiance[r]
-            if current is None or (
-                (values := receiver_values[r])[p] > values[current]
-                or values[p] == values[current] and p < current
-            ):
-                fiance[r] = p
-                if trace is not None:
-                    outcome = "engaged" if current is None else "displaced"
-                    trace.append(Proposal(p, r, outcome, current))
-                p = current
-            elif trace is not None:
-                trace.append(Proposal(p, r, "rejected"))
+    try:
+        for p in range(n):
+            while p is not None:
+                r = next(choices[p])
+                current = fiance[r]
+                if current is None or (
+                    (values := receiver_values[r])[p] > values[current]
+                    or values[p] == values[current] and p < current
+                ):
+                    fiance[r] = p
+                    if trace is not None:
+                        outcome = "engaged" if current is None else "displaced"
+                        trace.append(Proposal(p, r, outcome, current))
+                    p = current
+                elif trace is not None:
+                    trace.append(Proposal(p, r, "rejected"))
+    except StopIteration:
+        raise ValueError(f"proposer {p}'s list ran out before he was engaged") from None
     return fiance

@@ -150,7 +150,9 @@ class QuantInstance(ScoredProfile):
 
 class StrictProfile(_Record):
     """Strict preference lists, most preferred first; the form every
-    deferred-acceptance run consumes.
+    deferred-acceptance run consumes. Deferred acceptance raises ValueError
+    unless each side has n lists of n entries; lists of that length are
+    trusted to permute 0..n-1, so a repeated entry is not checked.
 
     `_source`, a slot outside the fields, holds the :class:`ScoredProfile`
     whose rankings :func:`derive_classical` listed, so that deferred

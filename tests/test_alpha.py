@@ -1,3 +1,4 @@
+import collections
 import itertools
 import time
 
@@ -316,7 +317,50 @@ def test_sweep_matches_reference_greedy(data):
     )
 
 
-@pytest.mark.parametrize("alpha", [1, 2, 2500])
+@given(st.data())
+@settings(max_examples=200)
+def test_lazy_solver_matches_the_eager_linearization(data):
+    # the eager reference builds both full extensions with linearize and
+    # hands the strict profile to gs; bare instances repeat scores in a row
+    max_score = data.draw(st.integers(7, 30))
+    if data.draw(st.booleans()):
+        inst = data.draw(instances(max_n=8, max_score=max_score))
+    else:
+        n = data.draw(st.integers(1, 8))
+        row = st.tuples(*[st.integers(0, n)] * n)
+        inst = smq.QuantInstance(n, data.draw(st.tuples(*[row] * n)),
+                                 data.draw(st.tuples(*[row] * n)))
+    alpha = data.draw(st.integers(1, 3 * max_score))
+    least_popular_first = lambda ballots: smq.score_sum_rule(ballots)[::-1]
+    rule = data.draw(st.sampled_from([smq.score_sum_rule, least_popular_first]))
+    semi = smq.alpha_transform(inst, alpha)
+    eager = smq.gs(smq.linearize(semi, *smq.popularity_orders(inst, rule)), "men")
+    assert smq.lex_male_alpha_gs(inst, alpha, rule) == eager
+
+
+def test_the_solver_reads_each_mans_list_only_as_far_as_he_proposes(monkeypatch):
+    n, alpha = 40, 40
+    inst = smq.random_instance(n, seed=3, max_score=10 * n)
+    drawn = collections.Counter()
+    sweep = smq.alpha._sweep
+
+    def counted(row, *args):
+        man = next((m for m, mine in enumerate(inst.men_scores) if mine is row), None)
+        for c in sweep(row, *args):
+            if man is not None:
+                drawn[man] += 1
+            yield c
+
+    monkeypatch.setattr(smq.alpha, "_sweep", counted)
+    smq.lex_male_alpha_gs(inst, alpha)
+    monkeypatch.undo()
+    profile = smq.linearize(smq.alpha_transform(inst, alpha), *smq.popularity_orders(inst))
+    trace = smq.step_trace(profile, "men")
+    assert drawn == collections.Counter(event.proposer for event in trace)
+    assert sum(drawn.values()) == len(trace) < n * n
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 10, 2500])
 def test_lex_solver_meets_its_time_bound_at_500(alpha):
     inst = smq.random_instance(500, seed=1, max_score=5000)
     start = time.perf_counter()

@@ -52,6 +52,35 @@ def test_bad_side_rejected():
             smq.step_trace(profile, "either")
 
 
+def test_a_short_list_is_refused():
+    # man 0's list never names woman 1; deferred acceptance used to marry them
+    profile = smq.StrictProfile(((0,), (0, 1)), ((0, 1), (0, 1)))
+    with pytest.raises(ValueError, match="2 lists or value rows of 2 entries"):
+        smq.gs(profile, "men")
+
+
+def test_value_rows_of_the_wrong_width_are_refused():
+    # the men's rows are 3 wide and the women's 2; with women proposing this
+    # used to solve silently
+    profile = smq.ScoredProfile(((1, 2, 3), (3, 4, 5)), ((1, 2), (3, 4)))
+    for side in ("men", "women"):
+        with pytest.raises(ValueError, match="lists or value rows of 2 entries"):
+            smq.gs(profile, side)
+
+
+def test_a_list_that_runs_out_is_refused():
+    # right length, repeated entries: man 1 is turned down twice by woman 0
+    profile = smq.StrictProfile(((0, 0), (0, 0)), ((0, 1), (0, 1)))
+    with pytest.raises(ValueError, match="proposer 1's list ran out"):
+        smq.gs(profile, "men")
+
+
+def test_the_trace_refuses_short_lists():
+    profile = smq.StrictProfile(((0,), (0,)), ((0, 1), (0, 1)))
+    with pytest.raises(ValueError, match="2 lists or value rows of 2 entries"):
+        smq.step_trace(profile, "men")
+
+
 def test_trace_replays_to_gs_result():
     profile = smq.derive_classical(P_A)
     trace = smq.step_trace(profile, "men")
