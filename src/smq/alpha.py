@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .gale_shapley import _solve, _values
+from .gale_shapley import _solve
 from .instances import Marriage, QuantInstance, StrictProfile, _check_orders, _rank_rows, _Record
 from .stability import _check_notion
 
@@ -125,13 +125,24 @@ def linearize(
 
 
 def _sweeps(instance: QuantInstance, side: str, alpha: int, guide: TotalOrder) -> list:
-    """One list per person of one side, guided by the other side's order: a
-    lazy :func:`_sweep`, or the kept ranking of a row that alpha 1 leaves total."""
-    bit = _bits(guide)
+    """One side's :func:`_extensions` as lists, one per person: a row that
+    alpha 1 leaves total is listed by its kept ranking."""
     rows = instance.men_scores if side == "men" else instance.women_scores
-    return [by_score if alpha == 1 and len(set(row)) == len(row)
-            else _sweep(row, by_score, alpha, bit, guide)
-            for row, by_score in zip(rows, instance._ranking(side))]
+    return [by_score if extension is row else extension for extension, row, by_score
+            in zip(_extensions(instance, side, alpha, guide), rows, instance._ranking(side))]
+
+
+def _extensions(instance: QuantInstance, side: str, alpha: int, guide: TotalOrder) -> list:
+    """Each person's extension as a receiver takes it, guided by the other
+    side's order: a lazy :func:`_sweep`, or the score row where alpha 1
+    leaves it total. The side is ranked only if a row is swept."""
+    rows = instance.men_scores if side == "men" else instance.women_scores
+    total = [alpha == 1 and len(set(row)) == len(row) for row in rows]
+    if all(total):
+        return list(rows)
+    bit = _bits(guide)
+    return [row if whole else _sweep(row, by_score, alpha, bit, guide)
+            for row, by_score, whole in zip(rows, instance._ranking(side), total)]
 
 
 def _bits(order: TotalOrder) -> list[int]:
@@ -181,12 +192,13 @@ def lex_male_alpha_gs(
     stable marriage. It is always alpha-stable, because any marriage with
     no blocking pair in a linearization has none in the semiorder either.
 
-    The profile is never built whole: each woman's list is swept whole, as
-    a receiver compares any two proposers, and each man's is a lazy
-    :func:`_sweep` that deferred acceptance reads only as far as he proposes.
+    The profile is never built whole: each man's list is a lazy
+    :func:`_sweep` read only as far as he proposes, and each woman's only at
+    her first comparison, as far as the first of those two proposers (at
+    alpha 1, a row of distinct scores is read as her values, unranked).
     """
     alpha_transform(instance, alpha)  # refuses an alpha that is not an integer >= 1
     men_order, women_order = popularity_orders(instance, rule)
     _check_orders(instance.n, men_order, women_order)
-    women_values = _values(map(tuple, _sweeps(instance, "women", alpha, men_order)))
-    return _solve(_sweeps(instance, "men", alpha, women_order), women_values, "men")
+    return _solve(_sweeps(instance, "men", alpha, women_order),
+                  _extensions(instance, "women", alpha, men_order), "men")

@@ -8,7 +8,11 @@ link solvers hand :func:`gs` the values they already hold, as a
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from .instances import Marriage, ScoredProfile, StrictProfile, _Record
+
+_VALUE_ROWS = (tuple, list)  # a receiver given as anything else is her list, unread
 
 
 class Proposal(_Record):
@@ -73,7 +77,8 @@ def step_trace(profile: StrictProfile | ScoredProfile,
 
 def _sides(profile: StrictProfile | ScoredProfile, proposing_side: str):
     """(proposer lists, receiver value rows) for the proposing side; raises
-    ValueError unless each side has n lists (or value rows) of n entries."""
+    ValueError unless each side has n lists (or value rows, tuples or lists)
+    of n entries, and unless every list entry lies in 0..n-1."""
     if proposing_side not in ("men", "women"):
         raise ValueError(f"proposing_side must be 'men' or 'women', got {proposing_side!r}")
     if isinstance(profile, StrictProfile) and profile._source is not None:
@@ -87,7 +92,11 @@ def _sides(profile: StrictProfile | ScoredProfile, proposing_side: str):
         raise ValueError(f"deferred acceptance needs {n} lists or value rows "
                          f"of {n} entries per side")
     if scored:
+        if not all(map(isinstance, receivers, repeat(_VALUE_ROWS))):
+            raise ValueError("deferred acceptance needs value rows that are tuples or lists")
         return profile._ranking(proposing_side), receivers
+    if not all(map(set(range(n)).issuperset, (*proposers, *receivers))):
+        raise ValueError(f"deferred acceptance needs list entries in 0..{n - 1}")
     return proposers, _values(receivers)
 
 
@@ -121,6 +130,14 @@ def _deferred_acceptance(
     enter in index order; an entrant proposes until he is engaged, and a
     displaced fiance proposes next in his place. Raises ValueError naming
     the first proposer whose list runs out.
+
+    A receiver's value row is a tuple or a list; anything else is her list,
+    unread: an iterator over the proposers, best first. She needs it only at
+    her first comparison, between fiance c and proposer p: it is drawn until
+    c or p appears, that one wins, and the values drawn (n-1-k for the k-th
+    entry, -1 for the rest) replace it. Her fiance stays drawn ever after,
+    and a proposer not yet drawn comes after every drawn entry, so he loses
+    to the fiance: her list is never read again, and no -1 ties a fiance.
     """
     n = len(proposer_lists)
     choices = [iter(prefs) for prefs in proposer_lists]
@@ -130,17 +147,23 @@ def _deferred_acceptance(
             while p is not None:
                 r = next(choices[p])
                 current = fiance[r]
-                if current is None or (
-                    (values := receiver_values[r])[p] > values[current]
-                    or values[p] == values[current] and p < current
-                ):
-                    fiance[r] = p
-                    if trace is not None:
-                        outcome = "engaged" if current is None else "displaced"
-                        trace.append(Proposal(p, r, outcome, current))
-                    p = current
-                elif trace is not None:
-                    trace.append(Proposal(p, r, "rejected"))
+                if current is not None:
+                    if not isinstance(values := receiver_values[r], _VALUE_ROWS):
+                        drawn = [-1] * n
+                        for v, q in zip(range(n - 1, -1, -1), values):
+                            drawn[q] = v
+                            if q == p or q == current:
+                                break
+                        values = receiver_values[r] = drawn
+                    if values[p] < values[current] or values[p] == values[current] and p > current:
+                        if trace is not None:
+                            trace.append(Proposal(p, r, "rejected"))
+                        continue
+                fiance[r] = p
+                if trace is not None:
+                    outcome = "engaged" if current is None else "displaced"
+                    trace.append(Proposal(p, r, outcome, current))
+                p = current
     except StopIteration:
         raise ValueError(f"proposer {p}'s list ran out before he was engaged") from None
     return fiance

@@ -93,7 +93,8 @@ class ScoredProfile(_Record):
     """Preferences as values: men_scores[i][j] is man i's value for woman j,
     women_scores[i][j] woman i's value for man j. Higher is preferred, and
     equal values go to the lower index: the order :func:`derive_classical`
-    lists. Deferred acceptance reads the receivers' rows as they stand.
+    lists. Deferred acceptance reads the receivers' rows, tuples or lists,
+    as they stand.
 
     `_kept`, a slot outside the fields that ``==``, ``hash``, ``repr`` and
     pickling ignore, is the one memo of results derived from the rows, so
@@ -151,7 +152,7 @@ class QuantInstance(ScoredProfile):
 class StrictProfile(_Record):
     """Strict preference lists, most preferred first; the form every
     deferred-acceptance run consumes. Deferred acceptance raises ValueError
-    unless each side has n lists of n entries; lists of that length are
+    unless each side has n lists of n entries in 0..n-1; such lists are
     trusted to permute 0..n-1, so a repeated entry is not checked.
 
     `_source`, a slot outside the fields, holds the :class:`ScoredProfile`

@@ -330,7 +330,7 @@ def test_lazy_solver_matches_the_eager_linearization(data):
         row = st.tuples(*[st.integers(0, n)] * n)
         inst = smq.QuantInstance(n, data.draw(st.tuples(*[row] * n)),
                                  data.draw(st.tuples(*[row] * n)))
-    alpha = data.draw(st.integers(1, 3 * max_score))
+    alpha = data.draw(st.one_of(st.just(1), st.integers(1, 3 * max_score)))
     least_popular_first = lambda ballots: smq.score_sum_rule(ballots)[::-1]
     rule = data.draw(st.sampled_from([smq.score_sum_rule, least_popular_first]))
     semi = smq.alpha_transform(inst, alpha)
@@ -338,26 +338,61 @@ def test_lazy_solver_matches_the_eager_linearization(data):
     assert smq.lex_male_alpha_gs(inst, alpha, rule) == eager
 
 
-def test_the_solver_reads_each_mans_list_only_as_far_as_he_proposes(monkeypatch):
-    n, alpha = 40, 40
-    inst = smq.random_instance(n, seed=3, max_score=10 * n)
+def counted_sweeps(monkeypatch, rows):
+    """Draws per person, by index into `rows`, from every alpha._sweep over one of them."""
     drawn = collections.Counter()
     sweep = smq.alpha._sweep
 
     def counted(row, *args):
-        man = next((m for m, mine in enumerate(inst.men_scores) if mine is row), None)
+        person = next((i for i, mine in enumerate(rows) if mine is row), None)
         for c in sweep(row, *args):
-            if man is not None:
-                drawn[man] += 1
+            if person is not None:
+                drawn[person] += 1
             yield c
 
     monkeypatch.setattr(smq.alpha, "_sweep", counted)
+    return drawn
+
+
+def test_the_solver_reads_each_mans_list_only_as_far_as_he_proposes(monkeypatch):
+    n, alpha = 40, 40
+    inst = smq.random_instance(n, seed=3, max_score=10 * n)
+    drawn = counted_sweeps(monkeypatch, inst.men_scores)
     smq.lex_male_alpha_gs(inst, alpha)
     monkeypatch.undo()
     profile = smq.linearize(smq.alpha_transform(inst, alpha), *smq.popularity_orders(inst))
     trace = smq.step_trace(profile, "men")
     assert drawn == collections.Counter(event.proposer for event in trace)
     assert sum(drawn.values()) == len(trace) < n * n
+
+
+def test_the_solver_reads_each_womans_list_only_until_her_first_comparison(monkeypatch):
+    n, alpha = 40, 40
+    inst = smq.random_instance(n, seed=3, max_score=10 * n)
+    drawn = counted_sweeps(monkeypatch, inst.women_scores)
+    smq.lex_male_alpha_gs(inst, alpha)
+    monkeypatch.undo()
+    profile = smq.linearize(smq.alpha_transform(inst, alpha), *smq.popularity_orders(inst))
+    proposers = collections.defaultdict(list)
+    for event in smq.step_trace(profile, "men"):
+        proposers[event.proposee].append(event.proposer)
+    # she draws up to the first of her first two proposers; once proposed to, none
+    expected = collections.Counter({
+        w: min(map(profile.women_prefs[w].index, suitors[:2])) + 1
+        for w, suitors in proposers.items() if len(suitors) > 1
+    })
+    assert len(proposers) == n and len(expected) < n
+    assert drawn == expected
+    assert sum(drawn.values()) < n * n
+
+
+def test_at_alpha_one_distinct_rows_are_read_as_scores_unranked(monkeypatch):
+    inst = smq.random_instance(40, seed=3, max_score=400)
+    inst = smq.validate(inst.n, inst.men_scores, inst.women_scores)
+    drawn = counted_sweeps(monkeypatch, inst.women_scores)
+    marriage = smq.lex_male_alpha_gs(inst, 1)
+    assert not drawn and "women" not in inst._kept
+    assert marriage == smq.gs(smq.derive_classical(inst), "men")
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 10, 2500])

@@ -81,6 +81,54 @@ def test_the_trace_refuses_short_lists():
         smq.step_trace(profile, "men")
 
 
+def test_a_negative_proposer_entry_is_refused():
+    # -1 and -2 used to read women 1 and 0 from the end of the row
+    profile = smq.StrictProfile(((-1, 0), (-2, 1)), ((0, 1), (0, 1)))
+    with pytest.raises(ValueError, match="list entries in 0..1"):
+        smq.gs(profile, "men")
+
+
+def test_a_proposer_entry_past_n_is_refused():
+    # man 0 used to be accepted before he reached the 5
+    profile = smq.StrictProfile(((0, 5), (1, 0)), ((0, 1), (0, 1)))
+    with pytest.raises(ValueError, match="list entries in 0..1"):
+        smq.gs(profile, "men")
+
+
+def test_a_negative_receiver_entry_is_refused():
+    profile = smq.StrictProfile(((0, 1), (0, 1)), ((0, -1), (0, 1)))
+    with pytest.raises(ValueError, match="list entries in 0..1"):
+        smq.gs(profile, "men")
+
+
+def test_the_trace_refuses_a_receiver_entry_past_n():
+    # used to raise IndexError while inverting woman 1's list
+    profile = smq.StrictProfile(((0, 1), (0, 1)), ((0, 1), (7, 1)))
+    with pytest.raises(ValueError, match="list entries in 0..1"):
+        smq.step_trace(profile, "men")
+
+
+def test_value_rows_of_another_type_are_refused():
+    # a receiver that is not a tuple or list would be read as her unread list
+    profile = smq.ScoredProfile(((1, 2), (2, 1)), (range(2), range(2)))
+    with pytest.raises(ValueError, match="value rows that are tuples or lists"):
+        smq.gs(profile, "men")
+
+
+@st.composite
+def strict_profiles(draw):
+    n = draw(st.integers(1, 8))
+    lists = st.tuples(*[st.permutations(range(n)).map(tuple)] * n)
+    return smq.StrictProfile(draw(lists), draw(lists))
+
+
+@given(strict_profiles())
+def test_receivers_handed_over_unread_reach_the_same_marriage(profile):
+    # each woman's list arrives as an iterator, drawn only at her first comparison
+    unread = [iter(prefs) for prefs in profile.women_prefs]
+    assert smq.gale_shapley._solve(profile.men_prefs, unread, "men") == smq.gs(profile, "men")
+
+
 def test_trace_replays_to_gs_result():
     profile = smq.derive_classical(P_A)
     trace = smq.step_trace(profile, "men")
