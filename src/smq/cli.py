@@ -34,8 +34,8 @@ from .stability import NOTIONS, BlockingReport, blocking_pairs
 OK, INVALID_INSTANCE, USAGE, UNSTABLE, BAD_MARRIAGE = 0, 1, 2, 3, 4
 
 # Largest instance `gen` writes, four times the n=500 the solvers are held
-# to. Memory grows as n^2: at this size a run peaks near 450 MB on 64-bit
-# CPython 3.11.
+# to. Memory grows as n^2; peaks at this size on 64-bit CPython 3.11: `solve`
+# 420-532 MB by notion, `check` of a marriage with ~10^6 blocking pairs 1.2 GB.
 GEN_MAX_N = 2000
 
 

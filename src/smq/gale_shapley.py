@@ -2,8 +2,8 @@
 
 This is the engine behind every solver in the package. The classical and
 link solvers hand :func:`gs` the values they already hold, as a
-:class:`ScoredProfile`; the gap-threshold solver reduces its problem to a
-:class:`StrictProfile`. Either way, one loop does the proposing.
+:class:`ScoredProfile`; strict lists, the gap-threshold solver's among
+them, are read lazily. Either way, one loop does the proposing.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ def gs(profile: StrictProfile | ScoredProfile, proposing_side: str = "men") -> M
     The profile is either strict lists or a :class:`ScoredProfile`, where
     higher values are preferred and equal values go to the lower index, the
     order :func:`derive_classical` and :func:`link_transform` list. The
-    receivers of a ``ScoredProfile`` compare values as they stand; only the
-    proposers' rows are ranked, once per profile; the lists of
-    :func:`derive_classical` are read through the scores they rank.
+    receivers of a ``ScoredProfile`` compare values as they stand, and only
+    the proposers' rows are ranked, once per profile; derived lists are read
+    through their scores, plain ones only until each first comparison.
 
     Every proposer starts free and proposes down his list; a proposee keeps
     the best proposer seen so far and releases the other. With men proposing
@@ -76,9 +76,9 @@ def step_trace(profile: StrictProfile | ScoredProfile,
 
 
 def _sides(profile: StrictProfile | ScoredProfile, proposing_side: str):
-    """(proposer lists, receiver value rows) for the proposing side; raises
-    ValueError unless each side has n lists (or value rows, tuples or lists)
-    of n entries, and unless every list entry lies in 0..n-1."""
+    """(proposer lists, receivers: value rows or unread list iterators) for
+    the proposing side; raises ValueError unless each side has n lists (or
+    value rows, tuples or lists) of n entries, and every entry is in 0..n-1."""
     if proposing_side not in ("men", "women"):
         raise ValueError(f"proposing_side must be 'men' or 'women', got {proposing_side!r}")
     if isinstance(profile, StrictProfile) and profile._source is not None:
@@ -97,18 +97,7 @@ def _sides(profile: StrictProfile | ScoredProfile, proposing_side: str):
         return profile._ranking(proposing_side), receivers
     if not all(map(set(range(n)).issuperset, (*proposers, *receivers))):
         raise ValueError(f"deferred acceptance needs list entries in 0..{n - 1}")
-    return proposers, _values(receivers)
-
-
-def _values(lists) -> list[list[int]]:
-    """Strict lists as value rows: row[q] = n - 1 - position of q, higher preferred."""
-    values = []
-    for prefs in lists:
-        row = [0] * len(prefs)
-        for v, q in enumerate(reversed(prefs)):
-            row[q] = v
-        values.append(row)
-    return values
+    return proposers, list(map(iter, receivers))
 
 
 def _solve(proposer_lists, receiver_values, proposing_side: str) -> Marriage:
@@ -131,13 +120,14 @@ def _deferred_acceptance(
     displaced fiance proposes next in his place. Raises ValueError naming
     the first proposer whose list runs out.
 
-    A receiver's value row is a tuple or a list; anything else is her list,
-    unread: an iterator over the proposers, best first. She needs it only at
-    her first comparison, between fiance c and proposer p: it is drawn until
-    c or p appears, that one wins, and the values drawn (n-1-k for the k-th
-    entry, -1 for the rest) replace it. Her fiance stays drawn ever after,
-    and a proposer not yet drawn comes after every drawn entry, so he loses
-    to the fiance: her list is never read again, and no -1 ties a fiance.
+    A receiver's value row is a tuple or a list; anything else is her strict
+    list, unread, an iterator over the proposers, best first: the one form of
+    a plain :class:`StrictProfile`'s receivers and lex-alpha's women. She
+    needs it only at her first comparison, between fiance c and proposer p:
+    it is drawn until c or p appears, that one wins, and the values drawn
+    (n-1-k for the k-th entry, -1 for the rest) replace it. Her fiance stays
+    drawn ever after, and a proposer not yet drawn comes after every drawn
+    entry, so he loses to the fiance: her list is never read again.
     """
     n = len(proposer_lists)
     choices = [iter(prefs) for prefs in proposer_lists]

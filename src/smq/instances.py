@@ -104,8 +104,8 @@ class ScoredProfile(_Record):
     ``"men"`` and ``"women"``; `link._strengths` keeps the pair-strength
     profile of each mode under ``"add"`` and ``"max"``; and
     `oracle._stable_marriages` keeps ``(alpha, marriages)``, the last
-    search of a notion, under the notion's name. A pickled profile carries
-    none of them."""
+    search of a value table and gap, under the notion's name (alpha 1 under
+    ``"classical"``). A pickled profile carries none of them."""
 
     _fields = ("men_scores", "women_scores")
     __slots__ = (*_fields, "_kept")
@@ -133,9 +133,9 @@ class QuantInstance(ScoredProfile):
 
     Construct through :func:`validate` (or :func:`parse_instance`) unless the
     data is known to satisfy the invariants already. Building one raises
-    ValueError unless both matrices have n rows; ragged rows and the scores
-    themselves are left to :func:`validate`. Immutable and hashable, and
-    never equal to a bare :class:`ScoredProfile` of the same scores.
+    NonSquareError unless both matrices have n rows of n entries; the
+    scores themselves are left to :func:`validate`. Immutable and hashable,
+    and never equal to a bare :class:`ScoredProfile` of the same scores.
     """
 
     _fields = ("n", "men_scores", "women_scores")
@@ -145,19 +145,21 @@ class QuantInstance(ScoredProfile):
         if not len(men_scores) == len(women_scores) == n:
             raise NonSquareError(f"an instance of size {n} needs {n} rows per matrix, "
                                  f"got {len(men_scores)} and {len(women_scores)}")
+        if set(map(len, chain(men_scores, women_scores))) - {n}:
+            raise NonSquareError(f"an instance of size {n} needs rows of {n} entries")
         object.__setattr__(self, "n", n)
         ScoredProfile.__init__(self, men_scores, women_scores)
 
 
 class StrictProfile(_Record):
-    """Strict preference lists, most preferred first; the form every
-    deferred-acceptance run consumes. Deferred acceptance raises ValueError
-    unless each side has n lists of n entries in 0..n-1; such lists are
-    trusted to permute 0..n-1, so a repeated entry is not checked.
+    """Strict preference lists, most preferred first. Deferred acceptance
+    raises ValueError unless each side has n lists of n entries in 0..n-1;
+    such lists are trusted to permute 0..n-1, so a repeated entry is not
+    checked, and each receiver's is read only until her first comparison.
 
     `_source`, a slot outside the fields, holds the :class:`ScoredProfile`
     whose rankings :func:`derive_classical` listed, so that deferred
-    acceptance reads its values instead of inverting the lists."""
+    acceptance reads its values instead of the lists."""
 
     _fields = ("men_prefs", "women_prefs")
     __slots__ = (*_fields, "_source")
@@ -291,7 +293,8 @@ def _rank_rows(rows) -> Matrix:
     stable under reverse=True, so equal values keep their index order. The
     rows sort one shared index tuple, so rankings hold no ints of their own."""
     index = tuple(range(len(rows[0]) if rows else 0))
-    return tuple([tuple(sorted(index, key=row.__getitem__, reverse=True)) for row in rows])
+    # a list's __getitem__ is a C method, cheaper per call than a tuple's slot wrapper
+    return tuple([tuple(sorted(index, key=list(row).__getitem__, reverse=True)) for row in rows])
 
 
 def make_marriage(values) -> Marriage:

@@ -29,7 +29,9 @@ def link_value(instance: QuantInstance, man: int, woman: int, mode: str) -> int:
     for index in (man, woman):
         if type(index) is not int or not 0 <= index < instance.n:
             raise ValueError(f"{index!r} is not an index of an instance of size {instance.n}")
-    return _strengths(instance, mode).men_scores[man][woman]
+    _check_mode(mode)
+    a, b = instance.men_scores[man][woman], instance.women_scores[woman][man]
+    return a + b if mode == "add" else max(a, b)
 
 
 def marriage_link(instance: QuantInstance, marriage: Marriage, mode: str) -> int:

@@ -14,9 +14,9 @@ too. It exists to certify the solvers: exact stable sets per notion,
 dominance-free subsets, lexicographic optima, highest-strength marriages,
 and the weak-stability dual filters used to cross-check set equalities.
 
-Each instance keeps its last search per notion, so `enumerate_stable`,
-`lex_optimum`, `highest_link` and `feasible_partners` on one instance share
-one search per notion (and alpha) instead of each running its own.
+Each instance keeps its last search per value table and gap, so
+`enumerate_stable`, `lex_optimum`, `highest_link` and `feasible_partners`
+share one search per notion and alpha; alpha 1 shares the classical one.
 """
 
 from __future__ import annotations
@@ -194,13 +194,15 @@ def _stable_marriages(
     """The stable set in lexicographic match order, without annotations;
     with jobs > 1 the parts, one per partner of man 0, come back in order.
 
-    The tuple of certified marriages is kept on the instance per notion, with
-    its alpha: a later call for the same notion and alpha returns that tuple
-    without searching; a call at another alpha searches and replaces it. The
-    job count is not in the key, since the result is identical for any
-    count. Both checks run on every call."""
+    The tuple of certified marriages is kept on the instance per value table
+    and gap, alpha 1 as classical: a later call for the same notion and
+    alpha returns that tuple without searching; a call at another alpha
+    searches and replaces it. The job count is not in the key, since the
+    result is identical for any count. Both checks run on every call."""
     _check_bound(instance.n, size_bound)
     _check_notion(notion, alpha)
+    if notion == "alpha" and alpha == 1:
+        notion, alpha = "classical", None
     kept = instance._kept.get(notion)
     if kept is not None and kept[0] == alpha:
         return kept[1]

@@ -126,7 +126,18 @@ def strict_profiles(draw):
 def test_receivers_handed_over_unread_reach_the_same_marriage(profile):
     # each woman's list arrives as an iterator, drawn only at her first comparison
     unread = [iter(prefs) for prefs in profile.women_prefs]
-    assert smq.gale_shapley._solve(profile.men_prefs, unread, "men") == smq.gs(profile, "men")
+    expected = married(reference_step_trace(profile, "men"), "men")
+    assert smq.gale_shapley._solve(profile.men_prefs, unread, "men") == expected
+
+
+@given(strict_profiles())
+def test_plain_strict_profiles_propose_as_the_reference(profile):
+    # a plain profile's receivers are read lazily; the reference reads places as values
+    assert profile._source is None
+    for side in ("men", "women"):
+        trace = reference_step_trace(profile, side)
+        assert smq.step_trace(profile, side) == trace, side
+        assert smq.gs(profile, side) == married(trace, side), side
 
 
 def test_trace_replays_to_gs_result():
@@ -192,7 +203,7 @@ def repeating_rows(draw):
 @given(st.one_of(tie_heavy_instances(), instances(), repeating_rows()))
 def test_derived_lists_propose_as_the_same_plain_lists(inst):
     # derive_classical's lists are read through the scores they rank, plain
-    # lists by inverting them into places
+    # lists lazily, each receiver's only until her first comparison
     derived = smq.derive_classical(inst)
     plain = smq.StrictProfile(derived.men_prefs, derived.women_prefs)
     assert derived == plain and derived._source is not None and plain._source is None

@@ -119,6 +119,18 @@ def test_an_instance_needs_n_rows_per_matrix():
     assert smq.QuantInstance(0, (), ()).n == 0
 
 
+def test_an_instance_needs_rows_of_n_entries():
+    square = ((1, 2), (3, 4))
+    for men, women in ((((1, 2), (3,)), square), (square, ((1, 2), (3, 4, 5))),
+                       (square, ((), ()))):
+        with pytest.raises(smq.NonSquareError, match="rows of 2 entries"):
+            smq.QuantInstance(2, men, women)
+    # so an audit never indexes past a short row
+    with pytest.raises(smq.NonSquareError):
+        smq.is_stable(smq.QuantInstance(2, ((1, 2), (3,)), square),
+                      smq.Marriage((0, 1)), "classical")
+
+
 def test_non_integer_score_rejected():
     with pytest.raises(smq.InvalidInstanceError):
         smq.validate(1, [[1.5]], [[2]])

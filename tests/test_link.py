@@ -74,6 +74,21 @@ def test_transform_is_symmetric_across_sides(inst):
                 assert men[m][w] == women[w][m] == smq.link_value(inst, m, w, mode) == value
 
 
+@given(st.one_of(tie_heavy_instances(), instances()), st.sampled_from(smq.link.MODES),
+       st.booleans(), st.data())
+def test_one_pair_reads_as_the_kept_table_does(inst, mode, kept, data):
+    # link_value reads its pair's two scores, on a fresh instance without
+    # building the table
+    if kept:
+        smq.link_stable_gs(inst, mode)
+    man, woman = (data.draw(st.integers(0, inst.n - 1)) for _ in range(2))
+    value = smq.link_value(inst, man, woman, mode)
+    assert (mode in inst._kept) == kept
+    table = smq.link._strengths(inst, mode)
+    assert value == reference_link_value(inst, man, woman, mode)
+    assert value == table.men_scores[man][woman] == table.women_scores[woman][man]
+
+
 def test_order_preserving_transform_changes_nothing():
     # mirror scores (everyone values their counterpart equally) keep every
     # ranking intact under both strength modes
@@ -176,8 +191,8 @@ def test_solvers_at_the_bench_size_match_their_references(max_score):
         assert classical[side] == smq.gs(ranked, side), side
 
 
-# The public calls that read the kept strength table, by name so that a
-# failing call order reads plainly.
+# The public calls that read pair strengths, by name so that a failing call
+# order reads plainly; all but link_value read the kept table.
 TABLE_READERS = {
     "link_value": lambda q, marriage, mode: [smq.link_value(q, m, w, mode)
                                              for m in range(q.n) for w in range(q.n)],

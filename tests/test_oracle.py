@@ -369,6 +369,17 @@ def test_returned_lists_are_the_callers_own():
     assert smq.highest_link(inst, "add") == expected
 
 
+def test_alpha_one_shares_the_classical_search():
+    # alpha 1 has the classical table and gap, so one search serves both
+    inst = smq.random_instance(5, seed=4)
+    classical = _stable_marriages(inst, "classical", None, DEFAULT_SIZE_BOUND)
+    assert _stable_marriages(inst, "alpha", 1, DEFAULT_SIZE_BOUND) is classical
+    assert "alpha" not in inst._kept
+    fresh = smq.QuantInstance(inst.n, inst.men_scores, inst.women_scores)
+    assert smq.enumerate_stable(inst, "alpha", 1) == smq.enumerate_stable(fresh, "alpha", 1)
+    assert smq.enumerate_stable(inst, "alpha", 1).to_json()["alpha"] == 1
+
+
 def test_kept_results_never_travel():
     inst = smq.random_instance(5, seed=3)
     size = len(pickle.dumps(inst))
