@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .gale_shapley import _solve
-from .instances import Marriage, QuantInstance, StrictProfile, _check_orders, _rank_rows, _Record
+from .gale_shapley import _solve, gs
+from .instances import (Marriage, QuantInstance, StrictProfile, _check_orders, _rank_rows,
+                        _Record, derive_classical)
 from .stability import _check_notion
 
 TotalOrder = tuple[int, ...]
@@ -70,9 +71,10 @@ def alpha_transform(instance: QuantInstance, alpha: int) -> SemiorderProfile:
 
 
 def score_totals(ballots) -> list[int]:
-    """Total score each candidate receives, summed over all voters
-    (column sums of the ballot matrix, one per candidate). Raises
+    """Total score each candidate receives, summed over all voters (column
+    sums of the ballots, any iterable of them, read once). Raises
     ValueError unless every ballot has the same length."""
+    ballots = tuple(ballots)
     lengths = set(map(len, ballots))
     if len(lengths) > 1:
         raise ValueError(f"ballots differ in length: {sorted(lengths)}")
@@ -110,39 +112,35 @@ def linearize(
     phase emits every window member the guide ranks above `top`, best first,
     and then `top`. The window is an int with bit r set for its member of
     guide rank r: the members ranked above `top` are its bits below top's,
-    and they leave lowest bit first. At alpha 1 a list with distinct scores
-    is total, so it comes out as the kept ranking. Cost per list: O(n)
-    operations on ints of up to n bits (each candidate enters the window, is
-    passed over by `top` and leaves it once, plus a constant per phase), so
-    O(n^2 / w) for w-bit machine words and O(n^3 / w) for the profile.
+    and they leave lowest bit first. Cost per list: O(n) operations on ints
+    of up to n bits (each candidate enters the window, is passed over by
+    `top` and leaves it once, plus a constant per phase), so O(n^2 / w) for
+    w-bit machine words and O(n^3 / w) for the profile. At alpha 1 with no
+    repeated score in any row, the profile is :func:`derive_classical`'s.
 
     Raises ValueError unless both orders permute 0..n-1.
     """
     _check_orders(semiorder.n, men_order, women_order)
     instance, alpha = semiorder.instance, semiorder.alpha
-    return StrictProfile(tuple(map(tuple, _sweeps(instance, "men", alpha, women_order))),
-                         tuple(map(tuple, _sweeps(instance, "women", alpha, men_order))))
+    if _total(instance, alpha):
+        return derive_classical(instance)
+    return StrictProfile(tuple(map(tuple, _extensions(instance, "men", alpha, women_order))),
+                         tuple(map(tuple, _extensions(instance, "women", alpha, men_order))))
 
 
-def _sweeps(instance: QuantInstance, side: str, alpha: int, guide: TotalOrder) -> list:
-    """One side's :func:`_extensions` as lists, one per person: a row that
-    alpha 1 leaves total is listed by its kept ranking."""
-    rows = instance.men_scores if side == "men" else instance.women_scores
-    return [by_score if extension is row else extension for extension, row, by_score
-            in zip(_extensions(instance, side, alpha, guide), rows, instance._ranking(side))]
+def _total(instance: QuantInstance, alpha: int) -> bool:
+    """alpha is 1 and no row repeats a score, so every list is its score ranking."""
+    rows = (*instance.men_scores, *instance.women_scores)
+    return alpha == 1 and set(map(len, map(set, rows))) == {instance.n}
 
 
 def _extensions(instance: QuantInstance, side: str, alpha: int, guide: TotalOrder) -> list:
-    """Each person's extension as a receiver takes it, guided by the other
-    side's order: a lazy :func:`_sweep`, or the score row where alpha 1
-    leaves it total. The side is ranked only if a row is swept."""
+    """Each person's extension, guided by the other side's order, as a lazy
+    :func:`_sweep` over the person's row and its kept ranking."""
     rows = instance.men_scores if side == "men" else instance.women_scores
-    total = [alpha == 1 and len(set(row)) == len(row) for row in rows]
-    if all(total):
-        return list(rows)
     bit = _bits(guide)
-    return [row if whole else _sweep(row, by_score, alpha, bit, guide)
-            for row, by_score, whole in zip(rows, instance._ranking(side), total)]
+    return [_sweep(row, by_score, alpha, bit, guide)
+            for row, by_score in zip(rows, instance._ranking(side))]
 
 
 def _bits(order: TotalOrder) -> list[int]:
@@ -192,13 +190,16 @@ def lex_male_alpha_gs(
     stable marriage. It is always alpha-stable, because any marriage with
     no blocking pair in a linearization has none in the semiorder either.
 
-    The profile is never built whole: each man's list is a lazy
+    At alpha 1 on an instance whose every row has distinct scores, that
+    profile is the classical one, so this is ``gs(instance, "men")``.
+    Otherwise the profile is never built whole: each man's list is a lazy
     :func:`_sweep` read only as far as he proposes, and each woman's only at
-    her first comparison, as far as the first of those two proposers (at
-    alpha 1, a row of distinct scores is read as her values, unranked).
+    her first comparison, as far as the first of those two proposers.
     """
     alpha_transform(instance, alpha)  # refuses an alpha that is not an integer >= 1
     men_order, women_order = popularity_orders(instance, rule)
     _check_orders(instance.n, men_order, women_order)
-    return _solve(_sweeps(instance, "men", alpha, women_order),
+    if _total(instance, alpha):
+        return gs(instance, "men")
+    return _solve(_extensions(instance, "men", alpha, women_order),
                   _extensions(instance, "women", alpha, men_order), "men")

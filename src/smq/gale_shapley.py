@@ -8,11 +8,7 @@ them, are read lazily. Either way, one loop does the proposing.
 
 from __future__ import annotations
 
-from itertools import repeat
-
-from .instances import Marriage, ScoredProfile, StrictProfile, _Record
-
-_VALUE_ROWS = (tuple, list)  # a receiver given as anything else is her list, unread
+from .instances import _VALUE_ROWS, Marriage, ScoredProfile, StrictProfile, _Record
 
 
 class Proposal(_Record):
@@ -43,6 +39,7 @@ def gs(profile: StrictProfile | ScoredProfile, proposing_side: str = "men") -> M
     receivers of a ``ScoredProfile`` compare values as they stand, and only
     the proposers' rows are ranked, once per profile; derived lists are read
     through their scores, plain ones only until each first comparison.
+    Both records check their shapes when built; gs refuses only a bad side.
 
     Every proposer starts free and proposes down his list; a proposee keeps
     the best proposer seen so far and releases the other. With men proposing
@@ -77,26 +74,17 @@ def step_trace(profile: StrictProfile | ScoredProfile,
 
 def _sides(profile: StrictProfile | ScoredProfile, proposing_side: str):
     """(proposer lists, receivers: value rows or unread list iterators) for
-    the proposing side; raises ValueError unless each side has n lists (or
-    value rows, tuples or lists) of n entries, and every entry is in 0..n-1."""
+    the proposing side, after a ValueError for any other side. Both records
+    checked their shapes when built, so this reads them as they stand."""
     if proposing_side not in ("men", "women"):
         raise ValueError(f"proposing_side must be 'men' or 'women', got {proposing_side!r}")
     if isinstance(profile, StrictProfile) and profile._source is not None:
         profile = profile._source  # its rankings are the lists
-    scored = isinstance(profile, ScoredProfile)
-    tables = ((profile.men_scores, profile.women_scores) if scored
-              else (profile.men_prefs, profile.women_prefs))
-    proposers, receivers = tables if proposing_side == "men" else tables[::-1]
-    n = len(proposers)
-    if {len(receivers), *map(len, proposers), *map(len, receivers)} - {n}:
-        raise ValueError(f"deferred acceptance needs {n} lists or value rows "
-                         f"of {n} entries per side")
-    if scored:
-        if not all(map(isinstance, receivers, repeat(_VALUE_ROWS))):
-            raise ValueError("deferred acceptance needs value rows that are tuples or lists")
+    if isinstance(profile, ScoredProfile):
+        receivers = profile.women_scores if proposing_side == "men" else profile.men_scores
         return profile._ranking(proposing_side), receivers
-    if not all(map(set(range(n)).issuperset, (*proposers, *receivers))):
-        raise ValueError(f"deferred acceptance needs list entries in 0..{n - 1}")
+    lists = (profile.men_prefs, profile.women_prefs)
+    proposers, receivers = lists if proposing_side == "men" else lists[::-1]
     return proposers, list(map(iter, receivers))
 
 
@@ -113,12 +101,12 @@ def _deferred_acceptance(
 ) -> list[int]:
     """Core loop; returns fiance[r] = proposer engaged to receiver r.
 
-    A proposer's list may be any iterable; it is read best first and only
-    as far as he proposes. Receiver r prefers proposer p over her fiance c when
-    ``receiver_values[r][p]`` is higher, or equal with p < c. Proposers
-    enter in index order; an entrant proposes until he is engaged, and a
-    displaced fiance proposes next in his place. Raises ValueError naming
-    the first proposer whose list runs out.
+    A proposer's list is any iterable over the n receivers, read best first
+    and only as far as he proposes. Receiver r prefers proposer p over her
+    fiance c when ``receiver_values[r][p]`` is higher, or equal with p < c.
+    Proposers enter in index order; an entrant proposes until he is engaged,
+    and a displaced fiance proposes next in his place. None runs out: each
+    receiver who refused him stays engaged, and he has only n-1 rivals.
 
     A receiver's value row is a tuple or a list; anything else is her strict
     list, unread, an iterator over the proposers, best first: the one form of
@@ -132,28 +120,25 @@ def _deferred_acceptance(
     n = len(proposer_lists)
     choices = [iter(prefs) for prefs in proposer_lists]
     fiance: list[int | None] = [None] * n
-    try:
-        for p in range(n):
-            while p is not None:
-                r = next(choices[p])
-                current = fiance[r]
-                if current is not None:
-                    if not isinstance(values := receiver_values[r], _VALUE_ROWS):
-                        drawn = [-1] * n
-                        for v, q in zip(range(n - 1, -1, -1), values):
-                            drawn[q] = v
-                            if q == p or q == current:
-                                break
-                        values = receiver_values[r] = drawn
-                    if values[p] < values[current] or values[p] == values[current] and p > current:
-                        if trace is not None:
-                            trace.append(Proposal(p, r, "rejected"))
-                        continue
-                fiance[r] = p
-                if trace is not None:
-                    outcome = "engaged" if current is None else "displaced"
-                    trace.append(Proposal(p, r, outcome, current))
-                p = current
-    except StopIteration:
-        raise ValueError(f"proposer {p}'s list ran out before he was engaged") from None
+    for p in range(n):
+        while p is not None:
+            r = next(choices[p])
+            current = fiance[r]
+            if current is not None:
+                if not isinstance(values := receiver_values[r], _VALUE_ROWS):
+                    drawn = [-1] * n
+                    for v, q in zip(range(n - 1, -1, -1), values):
+                        drawn[q] = v
+                        if q == p or q == current:
+                            break
+                    values = receiver_values[r] = drawn
+                if values[p] < values[current] or values[p] == values[current] and p > current:
+                    if trace is not None:
+                        trace.append(Proposal(p, r, "rejected"))
+                    continue
+            fiance[r] = p
+            if trace is not None:
+                outcome = "engaged" if current is None else "displaced"
+                trace.append(Proposal(p, r, outcome, current))
+            p = current
     return fiance

@@ -11,9 +11,10 @@ from __future__ import annotations
 import json
 import random
 import sys
-from itertools import chain
+from itertools import chain, repeat
 
 Matrix = tuple[tuple[int, ...], ...]
+_VALUE_ROWS = (tuple, list)  # a ScoredProfile's rows; any other receiver is an unread list
 
 
 class InvalidInstanceError(ValueError):
@@ -93,8 +94,8 @@ class ScoredProfile(_Record):
     """Preferences as values: men_scores[i][j] is man i's value for woman j,
     women_scores[i][j] woman i's value for man j. Higher is preferred, and
     equal values go to the lower index: the order :func:`derive_classical`
-    lists. Deferred acceptance reads the receivers' rows, tuples or lists,
-    as they stand.
+    lists. Building one raises ValueError unless every row is a tuple or
+    list, and NonSquareError unless both are n rows of n entries.
 
     `_kept`, a slot outside the fields that ``==``, ``hash``, ``repr`` and
     pickling ignore, is the one memo of results derived from the rows, so
@@ -111,6 +112,11 @@ class ScoredProfile(_Record):
     __slots__ = (*_fields, "_kept")
 
     def __init__(self, men_scores: Matrix, women_scores: Matrix):
+        n, rows = len(men_scores), (*men_scores, *women_scores)
+        if not all(map(isinstance, rows, repeat(_VALUE_ROWS))):
+            raise ValueError("a scored profile needs value rows that are tuples or lists")
+        if len(women_scores) != n or set(map(len, rows)) - {n}:
+            raise NonSquareError(f"a scored profile of size {n} needs {n} rows of {n} entries")
         object.__setattr__(self, "men_scores", men_scores)
         object.__setattr__(self, "women_scores", women_scores)
         object.__setattr__(self, "_kept", {})
@@ -133,9 +139,10 @@ class QuantInstance(ScoredProfile):
 
     Construct through :func:`validate` (or :func:`parse_instance`) unless the
     data is known to satisfy the invariants already. Building one raises
-    NonSquareError unless both matrices have n rows of n entries; the
-    scores themselves are left to :func:`validate`. Immutable and hashable,
-    and never equal to a bare :class:`ScoredProfile` of the same scores.
+    NonSquareError unless both matrices have n rows, then refuses what
+    :class:`ScoredProfile` refuses; the scores themselves are left to
+    :func:`validate`. Immutable and hashable, and never equal to a bare
+    :class:`ScoredProfile` of the same scores.
     """
 
     _fields = ("n", "men_scores", "women_scores")
@@ -145,26 +152,28 @@ class QuantInstance(ScoredProfile):
         if not len(men_scores) == len(women_scores) == n:
             raise NonSquareError(f"an instance of size {n} needs {n} rows per matrix, "
                                  f"got {len(men_scores)} and {len(women_scores)}")
-        if set(map(len, chain(men_scores, women_scores))) - {n}:
-            raise NonSquareError(f"an instance of size {n} needs rows of {n} entries")
         object.__setattr__(self, "n", n)
         ScoredProfile.__init__(self, men_scores, women_scores)
 
 
 class StrictProfile(_Record):
-    """Strict preference lists, most preferred first. Deferred acceptance
-    raises ValueError unless each side has n lists of n entries in 0..n-1;
-    such lists are trusted to permute 0..n-1, so a repeated entry is not
-    checked, and each receiver's is read only until her first comparison.
+    """Strict preference lists, most preferred first. Building one raises
+    ValueError unless each side holds n lists, each a permutation of
+    0..n-1, so deferred acceptance trusts them: no proposer runs out, and
+    each receiver's list is read only until her first comparison.
 
     `_source`, a slot outside the fields, holds the :class:`ScoredProfile`
-    whose rankings :func:`derive_classical` listed, so that deferred
-    acceptance reads its values instead of the lists."""
+    whose rankings :func:`derive_classical` lists, unchecked, so that
+    deferred acceptance reads its values instead of the lists."""
 
     _fields = ("men_prefs", "women_prefs")
     __slots__ = (*_fields, "_source")
 
     def __init__(self, men_prefs: Matrix, women_prefs: Matrix):
+        n, everyone = len(men_prefs), set(range(len(men_prefs)))
+        for side, lists in (("men", men_prefs), ("women", women_prefs)):
+            if len(lists) != n or any(len(row) != n or set(row) != everyone for row in lists):
+                raise ValueError(f"the {side}'s lists are not {n} permutations of 0..{n - 1}")
         object.__setattr__(self, "men_prefs", men_prefs)
         object.__setattr__(self, "women_prefs", women_prefs)
         object.__setattr__(self, "_source", None)
@@ -281,9 +290,12 @@ def _checked_matrix(side: str, n: int, rows) -> Matrix:
 
 def derive_classical(instance: QuantInstance) -> StrictProfile:
     """Keep only the orderings the scores induce: each list is sorted by
-    strictly decreasing own score."""
-    profile = StrictProfile(instance._ranking("men"), instance._ranking("women"))
-    object.__setattr__(profile, "_source", instance)
+    strictly decreasing own score. Rankings are permutations, so this skips
+    :class:`StrictProfile`'s check, and keeps the instance as `_source`."""
+    profile = StrictProfile.__new__(StrictProfile)
+    for name, value in (("men_prefs", instance._ranking("men")),
+                        ("women_prefs", instance._ranking("women")), ("_source", instance)):
+        object.__setattr__(profile, name, value)
     return profile
 
 

@@ -176,6 +176,13 @@ def test_totals_count_candidates_not_voters():
     assert smq.score_sum_rule([[1, 2, 3], [4, 5, 6]]) == (2, 1, 0)
 
 
+def test_totals_read_one_shot_ballots_once():
+    # the length check used to exhaust an iterator, which then summed to nothing
+    assert smq.score_totals(iter([[1, 2], [3, 4]])) == [4, 6]
+    assert smq.score_sum_rule(iter([[1, 2], [3, 4]])) == (1, 0)
+    assert smq.score_totals(row for row in ((1, 2, 3), (3, 2, 1))) == [4, 4, 4]
+
+
 def test_ragged_ballots_are_refused():
     # [[1, 2], [3]] would otherwise drop the candidate scored 2
     for ballots in ([[1, 2], [3]], [[1], [2, 3]], [[1, 2, 3], [4, 5], [6, 7, 8]]):
@@ -245,6 +252,11 @@ def test_lex_solver_on_gap_two_fixture():
 
 def test_lex_solver_reduces_to_classical_at_threshold_one():
     assert smq.lex_male_alpha_gs(P_A, 1) == smq.Marriage((1, 0))
+    # only while every row is distinct: man 0's tie is broken by popularity,
+    # woman 1 before woman 0, where the classical ranking takes the lower index
+    tied = smq.QuantInstance(2, ((2, 2), (0, 1)), ((1, 1), (1, 1)))
+    assert smq.lex_male_alpha_gs(tied, 1) == smq.Marriage((1, 0))
+    assert smq.gs(tied, "men") == smq.Marriage((0, 1))
 
 
 def test_lex_solver_on_singleton_stable_set():
@@ -389,7 +401,8 @@ def test_the_solver_reads_each_womans_list_only_until_her_first_comparison(monke
 def test_at_alpha_one_distinct_rows_are_read_as_scores_unranked(monkeypatch):
     inst = smq.random_instance(40, seed=3, max_score=400)
     inst = smq.validate(inst.n, inst.men_scores, inst.women_scores)
-    drawn = counted_sweeps(monkeypatch, inst.women_scores)
+    # neither side sweeps: the men's rows too are ranked, not walked
+    drawn = counted_sweeps(monkeypatch, inst.men_scores + inst.women_scores)
     marriage = smq.lex_male_alpha_gs(inst, 1)
     assert not drawn and "women" not in inst._kept
     assert marriage == smq.gs(smq.derive_classical(inst), "men")

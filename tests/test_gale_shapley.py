@@ -54,65 +54,82 @@ def test_bad_side_rejected():
 
 def test_a_short_list_is_refused():
     # man 0's list never names woman 1; deferred acceptance used to marry them
-    profile = smq.StrictProfile(((0,), (0, 1)), ((0, 1), (0, 1)))
-    with pytest.raises(ValueError, match="2 lists or value rows of 2 entries"):
-        smq.gs(profile, "men")
+    with pytest.raises(ValueError, match="the men's lists are not 2 permutations of 0..1"):
+        smq.gs(smq.StrictProfile(((0,), (0, 1)), ((0, 1), (0, 1))), "men")
 
 
 def test_value_rows_of_the_wrong_width_are_refused():
     # the men's rows are 3 wide and the women's 2; with women proposing this
     # used to solve silently
-    profile = smq.ScoredProfile(((1, 2, 3), (3, 4, 5)), ((1, 2), (3, 4)))
-    for side in ("men", "women"):
-        with pytest.raises(ValueError, match="lists or value rows of 2 entries"):
-            smq.gs(profile, side)
+    with pytest.raises(smq.NonSquareError, match="size 2 needs 2 rows of 2 entries"):
+        smq.ScoredProfile(((1, 2, 3), (3, 4, 5)), ((1, 2), (3, 4)))
 
 
-def test_a_list_that_runs_out_is_refused():
-    # right length, repeated entries: man 1 is turned down twice by woman 0
-    profile = smq.StrictProfile(((0, 0), (0, 0)), ((0, 1), (0, 1)))
-    with pytest.raises(ValueError, match="proposer 1's list ran out"):
-        smq.gs(profile, "men")
+def test_a_repeated_entry_is_refused_when_built():
+    # man 0's list never names woman 1; gs used to marry them all the same
+    with pytest.raises(ValueError, match="the men's lists are not 2 permutations of 0..1"):
+        smq.StrictProfile(((0, 0), (0, 1)), ((0, 1), (0, 1)))
 
 
 def test_the_trace_refuses_short_lists():
-    profile = smq.StrictProfile(((0,), (0,)), ((0, 1), (0, 1)))
-    with pytest.raises(ValueError, match="2 lists or value rows of 2 entries"):
-        smq.step_trace(profile, "men")
+    with pytest.raises(ValueError, match="the men's lists are not 2 permutations of 0..1"):
+        smq.step_trace(smq.StrictProfile(((0,), (0,)), ((0, 1), (0, 1))), "men")
 
 
 def test_a_negative_proposer_entry_is_refused():
     # -1 and -2 used to read women 1 and 0 from the end of the row
-    profile = smq.StrictProfile(((-1, 0), (-2, 1)), ((0, 1), (0, 1)))
-    with pytest.raises(ValueError, match="list entries in 0..1"):
-        smq.gs(profile, "men")
+    with pytest.raises(ValueError, match="the men's lists are not 2 permutations of 0..1"):
+        smq.gs(smq.StrictProfile(((-1, 0), (-2, 1)), ((0, 1), (0, 1))), "men")
 
 
 def test_a_proposer_entry_past_n_is_refused():
     # man 0 used to be accepted before he reached the 5
-    profile = smq.StrictProfile(((0, 5), (1, 0)), ((0, 1), (0, 1)))
-    with pytest.raises(ValueError, match="list entries in 0..1"):
-        smq.gs(profile, "men")
+    with pytest.raises(ValueError, match="the men's lists are not 2 permutations of 0..1"):
+        smq.gs(smq.StrictProfile(((0, 5), (1, 0)), ((0, 1), (0, 1))), "men")
 
 
 def test_a_negative_receiver_entry_is_refused():
-    profile = smq.StrictProfile(((0, 1), (0, 1)), ((0, -1), (0, 1)))
-    with pytest.raises(ValueError, match="list entries in 0..1"):
-        smq.gs(profile, "men")
+    with pytest.raises(ValueError, match="the women's lists are not 2 permutations of 0..1"):
+        smq.gs(smq.StrictProfile(((0, 1), (0, 1)), ((0, -1), (0, 1))), "men")
 
 
 def test_the_trace_refuses_a_receiver_entry_past_n():
     # used to raise IndexError while inverting woman 1's list
-    profile = smq.StrictProfile(((0, 1), (0, 1)), ((0, 1), (7, 1)))
-    with pytest.raises(ValueError, match="list entries in 0..1"):
-        smq.step_trace(profile, "men")
+    with pytest.raises(ValueError, match="the women's lists are not 2 permutations of 0..1"):
+        smq.step_trace(smq.StrictProfile(((0, 1), (0, 1)), ((0, 1), (7, 1))), "men")
 
 
 def test_value_rows_of_another_type_are_refused():
     # a receiver that is not a tuple or list would be read as her unread list
-    profile = smq.ScoredProfile(((1, 2), (2, 1)), (range(2), range(2)))
     with pytest.raises(ValueError, match="value rows that are tuples or lists"):
-        smq.gs(profile, "men")
+        smq.gs(smq.ScoredProfile(((1, 2), (2, 1)), (range(2), range(2))), "men")
+
+
+@st.composite
+def maybe_strict_lists(draw):
+    """(men_prefs, women_prefs): n men's lists and about n women's lists,
+    half the time all permutations of 0..n-1, else lists that may also
+    repeat an entry, step outside 0..n-1 or have the wrong length."""
+    n = draw(st.integers(0, 5))
+    good = st.permutations(range(n)).map(tuple)
+    bent = st.lists(st.integers(-1, n), min_size=max(n - 1, 0), max_size=n + 1).map(tuple)
+    row = good if draw(st.booleans()) else st.one_of(good, bent)
+    counts = (n, draw(st.sampled_from([n, n, n + 1, max(n - 1, 0)])))
+    return tuple(tuple(draw(row) for _ in range(count)) for count in counts)
+
+
+@given(maybe_strict_lists())
+def test_a_strict_profile_builds_iff_every_list_permutes_its_side(lists):
+    men_prefs, women_prefs = lists
+    n = len(men_prefs)
+    valid = len(women_prefs) == n and all(sorted(prefs) == list(range(n))
+                                          for prefs in men_prefs + women_prefs)
+    try:
+        profile = smq.StrictProfile(men_prefs, women_prefs)
+    except ValueError:
+        assert not valid
+    else:
+        assert valid and profile.men_prefs == men_prefs and profile.women_prefs == women_prefs
 
 
 @st.composite

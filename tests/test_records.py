@@ -91,7 +91,8 @@ def test_a_record_survives_a_pickle_round_trip(record, fields, text):
 
 def test_records_compare_by_class_and_fields():
     a, b = P_B.men_scores, P_B.women_scores
-    assert smq.StrictProfile(a, b) != smq.ScoredProfile(a, b)
+    lists = ((0, 1), (1, 0))
+    assert smq.StrictProfile(lists, lists) != smq.ScoredProfile(lists, lists)
     assert smq.QuantInstance(2, a, b) != smq.ScoredProfile(a, b)
     assert smq.Marriage((0, 1)) != ((0, 1),) and smq.Marriage((0, 1)) != smq.Marriage((1, 0))
     assert smq.Proposal(0, 1, "engaged") == smq.Proposal(0, 1, "engaged", None)
