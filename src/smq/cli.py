@@ -16,6 +16,7 @@ import sys
 from .alpha import alpha_transform, lex_male_alpha_gs
 from .gale_shapley import gs
 from .instances import (
+    _NAMES,
     Marriage,
     QuantInstance,
     derive_classical,
@@ -237,29 +238,22 @@ def _cmd_transform(args) -> int:
     instance = _load_instance(args.instance)
     alpha = _require_alpha(args, not (args.link_add or args.link_max), "--link-add or --link-max")
     if alpha is not None:
-        semiorder = alpha_transform(instance, alpha)
-        classical = derive_classical(instance)
-        for side, name, other, lists in (
-            ("men", man_name, woman_name, classical.men_prefs),
-            ("women", woman_name, man_name, classical.women_prefs),
-        ):
-            for person, ranked in enumerate(lists):
-                parts = [other(ranked[0])]
-                for prev, nxt in zip(ranked, ranked[1:]):
-                    sep = ">" if semiorder.strictly_prefers(side, person, prev, nxt) else "⋈"
-                    parts.append(f"{sep} {other(nxt)}")
-                print(f"{name(person)}: " + " ".join(parts))
+        prefers = alpha_transform(instance, alpha).strictly_prefers
+        view = derive_classical(instance)
+        rows = view.men_prefs, view.women_prefs
+        label = lambda other, cand: other(cand)
+        mark = lambda side, person, a, b: ">" if prefers(side, person, a, b) else "⋈"
     else:
-        mode = "add" if args.link_add else "max"
-        profile = link_transform(instance, mode)
-        for rows, name, other in ((profile.men_values, man_name, woman_name),
-                                  (profile.women_values, woman_name, man_name)):
-            for person, row in enumerate(rows):
-                parts = [f"{other(row[0][0])}[{row[0][1]}]"]
-                for (_, prev_val), (cand, val) in zip(row, row[1:]):
-                    sep = "=" if val == prev_val else ">"
-                    parts.append(f"{sep} {other(cand)}[{val}]")
-                print(f"{name(person)}: " + " ".join(parts))
+        view = link_transform(instance, "add" if args.link_add else "max")
+        rows = view.men_values, view.women_values
+        label = lambda other, entry: f"{other(entry[0])}[{entry[1]}]"
+        mark = lambda side, person, a, b: "=" if a[1] == b[1] else ">"
+    for side, side_rows in zip(("men", "women"), rows):
+        name, other = _NAMES[side]
+        for person, row in enumerate(side_rows):
+            rest = "".join(f" {mark(side, person, a, b)} {label(other, b)}"
+                           for a, b in zip(row, row[1:]))
+            print(f"{name(person)}: {label(other, row[0])}{rest}")
     return OK
 
 

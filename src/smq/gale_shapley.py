@@ -12,13 +12,10 @@ from .instances import _VALUE_ROWS, Marriage, ScoredProfile, StrictProfile, _Rec
 
 
 class Proposal(_Record):
-    """One proposal event. Indices are relative to the proposing side:
-    with men proposing, proposer is a man index and proposee a woman index.
-
-    outcome is "engaged" (proposee was free), "rejected" (proposee kept her
-    current fiance), or "displaced" (proposee switched; the bumped proposer
-    is recorded in displaced).
-    """
+    """One proposal event, indexed from the proposing side: with men
+    proposing, proposer is a man and proposee a woman. outcome is "engaged"
+    (proposee was free), "rejected" (she kept her fiance) or "displaced"
+    (she switched; displaced is the fiance she released)."""
 
     __slots__ = _fields = ("proposer", "proposee", "outcome", "displaced")
 
@@ -52,23 +49,37 @@ def gs(profile: StrictProfile | ScoredProfile, proposing_side: str = "men") -> M
     always proposes next. Proposers enter in index order, a new one only
     when every earlier one is engaged, and a proposal frees at most one of
     them, so the free one among them is always the lowest free index. The
-    outcome does not depend on that order; the fixed order just makes
-    traces reproducible.
+    outcome does not depend on that order; the fixed order makes traces
+    reproducible, and lets :func:`step_trace` read them off the draws alone.
     """
     return _solve(*_sides(profile, proposing_side), proposing_side)
 
 
 def step_trace(profile: StrictProfile | ScoredProfile,
                proposing_side: str = "men") -> list[Proposal]:
-    """Full proposal history of :func:`gs`, in execution order. A
-    ``ScoredProfile`` yields the same events as the strict profile that
-    lists its values best first, equal values by ascending index.
+    """Full proposal history of :func:`gs`, in execution order: at most n*n
+    events (nobody proposes to the same person twice), whose final engaged
+    pairs are gs's. A ``ScoredProfile`` yields the events of the strict
+    profile that lists its values best first, equal values by ascending index.
 
-    The final engaged pairs equal the gs output, and the number of events is
-    at most n*n (nobody proposes to the same person twice).
+    The loop records nothing: each list is wrapped to log its draws, which
+    replay by the rule :func:`_deferred_acceptance` states. A draw followed
+    by the same proposer's was rejected; any other was accepted, "displaced"
+    (by the next drawer) if its receiver was held, else "engaged".
     """
-    trace: list[Proposal] = []
-    _deferred_acceptance(*_sides(profile, proposing_side), trace)
+    proposers, receivers = _sides(profile, proposing_side)
+    draws = []
+
+    def logged(p, prefs):
+        for r in prefs:
+            draws.append((p, r))
+            yield r
+    _deferred_acceptance([logged(p, prefs) for p, prefs in enumerate(proposers)], receivers)
+    trace, held = [], set()
+    for (p, r), (after, _) in zip(draws, [*draws[1:], (None, None)]):
+        outcome = "rejected" if after == p else "displaced" if r in held else "engaged"
+        trace.append(Proposal(p, r, outcome, after if outcome == "displaced" else None))
+        held.add(r)
     return trace
 
 
@@ -94,19 +105,16 @@ def _solve(proposer_lists, receiver_values, proposing_side: str) -> Marriage:
     return marriage if proposing_side == "women" else Marriage(marriage.inverse())
 
 
-def _deferred_acceptance(
-    proposer_lists,
-    receiver_values,
-    trace: list[Proposal] | None = None,
-) -> list[int]:
+def _deferred_acceptance(proposer_lists, receiver_values) -> list[int]:
     """Core loop; returns fiance[r] = proposer engaged to receiver r.
 
     A proposer's list is any iterable over the n receivers, read best first
-    and only as far as he proposes. Receiver r prefers proposer p over her
-    fiance c when ``receiver_values[r][p]`` is higher, or equal with p < c.
-    Proposers enter in index order; an entrant proposes until he is engaged,
-    and a displaced fiance proposes next in his place. None runs out: each
-    receiver who refused him stays engaged, and he has only n-1 rivals.
+    and only as far as he proposes: each draw is a proposal. Receiver r
+    prefers proposer p over her fiance c when ``receiver_values[r][p]`` is
+    higher, or equal with p < c. Proposers enter in index order; an entrant
+    proposes until he is engaged, and a displaced fiance proposes next in
+    his place, so only a rejected proposer draws twice in a row. None runs
+    out: each receiver who refused him stays engaged, and he has n-1 rivals.
 
     A receiver's value row is a tuple or a list; anything else is her strict
     list, unread, an iterator over the proposers, best first: the one form of
@@ -133,12 +141,7 @@ def _deferred_acceptance(
                             break
                     values = receiver_values[r] = drawn
                 if values[p] < values[current] or values[p] == values[current] and p > current:
-                    if trace is not None:
-                        trace.append(Proposal(p, r, "rejected"))
                     continue
             fiance[r] = p
-            if trace is not None:
-                outcome = "engaged" if current is None else "displaced"
-                trace.append(Proposal(p, r, outcome, current))
             p = current
     return fiance

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import smq
 from smq.cli import GEN_MAX_N, main
-from conftest import P_A, P_B, P_C, instances
+from conftest import P_A, P_B, P_C, instances, tie_heavy_instances
 
 
 @pytest.fixture
@@ -249,6 +249,43 @@ def test_transform_requires_exactly_one_view(files, capsys):
     assert run(capsys, "transform", "-i", files["P_B"])[0] == 2
     assert run(capsys, "transform", "--alpha", "2", "--link-add",
                "-i", files["P_B"])[0] == 2
+
+
+@given(inst=st.one_of(tie_heavy_instances(max_n=6), instances(max_n=6)),
+       view=st.sampled_from([["--alpha", "1"], ["--alpha", "2"], ["--alpha", "3"],
+                             ["--link-add"], ["--link-max"]]))
+def test_transform_prints_each_view_as_the_library_ranks_it(tmp_path_factory, inst, view):
+    # every row names each candidate once, in the library's order, and each
+    # mark is the library's answer for the two neighbours it separates
+    path = tmp_path_factory.getbasetemp() / "view.json"
+    path.write_text(smq.serialize_instance(inst))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["transform", *view, "-i", str(path)]) == 0
+    if view[0] == "--alpha":
+        semiorder = smq.alpha_transform(inst, int(view[1]))
+        classical = smq.derive_classical(inst)
+        ranked = {"men": classical.men_prefs, "women": classical.women_prefs}
+    else:
+        profile = smq.link_transform(inst, view[0].removeprefix("--link-"))
+        ranked = {"men": profile.men_values, "women": profile.women_values}
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 2 * inst.n
+    for k, line in enumerate(lines):
+        side, person = ("men", k) if k < inst.n else ("women", k - inst.n)
+        name, other = ((smq.man_name, smq.woman_name) if side == "men"
+                       else (smq.woman_name, smq.man_name))
+        head, _, rest = line.partition(": ")
+        tokens, row = rest.split(" "), ranked[side][person]
+        assert head == name(person), line
+        if view[0] == "--alpha":
+            assert tokens[0::2] == [other(cand) for cand in row], line
+            marks = [">" if semiorder.strictly_prefers(side, person, a, b) else "⋈"
+                     for a, b in zip(row, row[1:])]
+        else:
+            assert tokens[0::2] == [f"{other(cand)}[{value}]" for cand, value in row], line
+            marks = ["=" if a[1] == b[1] else ">" for a, b in zip(row, row[1:])]
+        assert tokens[1::2] == marks, line
 
 
 def test_gen_is_deterministic_per_seed(capsys):

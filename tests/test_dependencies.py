@@ -1,10 +1,12 @@
 """The package depends on nothing outside the standard library, starts
 without the heavy parts of it, keeps no memo in a module-level cache, reads
-its kept results only through their accessors, and every public name has a
-reader outside the tests."""
+its kept results only through their accessors, every public name has a
+reader outside the tests, and every docstring cross-reference names what
+exists."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -90,3 +92,36 @@ def test_every_public_name_is_read_outside_the_tests():
             elif isinstance(node, ast.alias):
                 read.add(node.name)
     assert sorted(set(smq.__all__) - read) == []
+
+
+# A docstring names a module, function, class or method as :role:`target`.
+CROSS_REFERENCE = re.compile(r":(func|class|meth|mod):`([^`]*)`")
+
+
+def test_docstring_cross_references_name_what_exists():
+    # a target resolves in any module of the package, with or without the
+    # "smq." and module prefixes; a method may be named with its class
+    defined = {"mod": {"smq"}, "func": set(), "class": set(), "meth": set()}
+    for path in SRC.glob("*.py"):
+        defined["mod"].add(f"smq.{path.stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined["func"].add(node.name)
+            elif isinstance(node, ast.ClassDef):
+                defined["class"].add(node.name)
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        defined["meth"] |= {item.name, f"{node.name}.{item.name}"}
+    modules = {name.removeprefix("smq.") for name in defined["mod"]}
+    unresolved = []
+    for path in sorted(SRC.glob("*.py")):
+        for role, target in CROSS_REFERENCE.findall(path.read_text(encoding="utf-8")):
+            name = target
+            if role != "mod":
+                parts = target.split(".")
+                while len(parts) > 1 and parts[0] in modules:
+                    parts.pop(0)
+                name = ".".join(parts)
+            if name not in defined[role]:
+                unresolved.append(f"{path.name} :{role}:`{target}`")
+    assert not unresolved, unresolved

@@ -99,6 +99,16 @@ def test_the_trace_refuses_a_receiver_entry_past_n():
         smq.step_trace(smq.StrictProfile(((0, 1), (0, 1)), ((0, 1), (7, 1))), "men")
 
 
+def test_float_and_bool_entries_are_refused():
+    # both used to build; gs of the second raised TypeError from inside the loop
+    with pytest.raises(ValueError, match="the men's lists are not 2 permutations of 0..1"):
+        smq.StrictProfile(((0, 1.0), (1, 0)), ((0, 1), (True, 0)))
+    with pytest.raises(ValueError, match="the men's lists are not 2 permutations of 0..1"):
+        smq.gs(smq.StrictProfile(((1.0, 0), (0, 1)), ((0, 1), (0, 1))), "men")
+    with pytest.raises(ValueError, match="the women's lists are not 2 permutations of 0..1"):
+        smq.StrictProfile(((0, 1), (1, 0)), ((0, 1), (True, 0)))
+
+
 def test_value_rows_of_another_type_are_refused():
     # a receiver that is not a tuple or list would be read as her unread list
     with pytest.raises(ValueError, match="value rows that are tuples or lists"):
@@ -227,6 +237,30 @@ def test_derived_lists_propose_as_the_same_plain_lists(inst):
     for side in ("men", "women"):
         assert smq.step_trace(derived, side) == smq.step_trace(plain, side), side
         assert smq.gs(derived, side) == smq.gs(plain, side), side
+
+
+def counting(prefs, drawn: list):
+    """prefs, read lazily, appending each entry drawn to drawn."""
+    for r in prefs:
+        drawn.append(r)
+        yield r
+
+
+@given(st.one_of(tie_heavy_instances(), instances(), repeating_rows()))
+def test_a_solve_draws_once_per_reference_proposal(inst):
+    # the proposals are the draws from the proposers' lists, so wrapping the
+    # lists counts them and the loop needs no hook
+    derived = smq.derive_classical(inst)
+    plain = smq.StrictProfile(derived.men_prefs, derived.women_prefs)
+    for profile in (inst, derived, plain):
+        for side in ("men", "women"):
+            proposers, receivers = smq.gale_shapley._sides(profile, side)
+            drawn = []
+            lists = [counting(prefs, drawn) for prefs in proposers]
+            marriage = smq.gale_shapley._solve(lists, receivers, side)
+            trace = reference_step_trace(profile, side)
+            assert len(drawn) == len(trace), (side, profile)
+            assert marriage == married(trace, side), (side, profile)
 
 
 @given(st.one_of(tie_heavy_instances(), instances(), repeating_rows()))
