@@ -14,7 +14,7 @@ from collections.abc import Iterator
 
 from .gale_shapley import _solve, gs
 from .instances import (Marriage, QuantInstance, StrictProfile, _check_orders, _rank_rows,
-                        _Record, derive_classical)
+                        _Record, _trusted, derive_classical)
 from .stability import _check_notion
 
 TotalOrder = tuple[int, ...]
@@ -117,6 +117,8 @@ def linearize(
     `top` and leaves it once, plus a constant per phase), so O(n^2 / w) for
     w-bit machine words and O(n^3 / w) for the profile. At alpha 1 with no
     repeated score in any row, the profile is :func:`derive_classical`'s.
+    Each sweep emits every candidate once, so the profile skips
+    :class:`StrictProfile`'s check.
 
     Raises ValueError unless both orders permute 0..n-1.
     """
@@ -124,8 +126,9 @@ def linearize(
     instance, alpha = semiorder.instance, semiorder.alpha
     if _total(instance, alpha):
         return derive_classical(instance)
-    return StrictProfile(tuple(map(tuple, _extensions(instance, "men", alpha, women_order))),
-                         tuple(map(tuple, _extensions(instance, "women", alpha, men_order))))
+    men = tuple(map(tuple, _extensions(instance, "men", alpha, women_order)))
+    women = tuple(map(tuple, _extensions(instance, "women", alpha, men_order)))
+    return _trusted(StrictProfile, men_prefs=men, women_prefs=women, _source=None)
 
 
 def _total(instance: QuantInstance, alpha: int) -> bool:

@@ -157,10 +157,12 @@ class StrictProfile(_Record):
     ValueError unless each side holds n lists, each holding 0..n-1 once as
     exact ints (:func:`_permutes`), so deferred acceptance trusts them: no
     proposer runs out, and a receiver's list is read to her first comparison.
+    :func:`derive_classical` and :func:`linearize` build theirs through
+    :func:`_trusted`, since their lists permute by construction.
 
     `_source`, a slot outside the fields, holds the :class:`ScoredProfile`
-    whose rankings :func:`derive_classical` lists, unchecked, so that
-    deferred acceptance reads its values instead of the lists."""
+    whose rankings :func:`derive_classical` lists, so that deferred
+    acceptance reads its values instead of the lists."""
 
     _fields = ("men_prefs", "women_prefs")
     __slots__ = (*_fields, "_source")
@@ -178,8 +180,9 @@ class StrictProfile(_Record):
 class Marriage(_Record):
     """A perfect matching; partner_of_man[i] is the woman married to man i.
     Building one raises ValueError unless it permutes 0..len-1; readers trust that.
-    Entry types go unchecked: the oracle builds one per member, from ints, where
-    a type pass adds about 4% to a dense search; :func:`make_marriage` checks input."""
+    Entry types go unchecked, so a float or bool equal to an index passes;
+    :func:`make_marriage` checks outside input. The oracle builds its members
+    through :func:`_trusted`, since its search places every woman once."""
 
     __slots__ = _fields = ("partner_of_man",)
 
@@ -227,19 +230,39 @@ PairList = tuple[tuple[int, int], ...]
 
 
 class WeakProfile(_Record):
-    """Preference lists with ties: each entry is a (candidate, value) list
-    sorted by descending value, ascending candidate index within equal values.
-    Equal values denote indifference."""
+    """Preference lists with ties: each list holds one (candidate, value) pair
+    per candidate, sorted by descending value, ascending candidate index within
+    equal values. Equal values denote indifference. Building one raises
+    ValueError unless each side holds n such lists (:func:`_ranked`), so the
+    weak-stability filter and :func:`has_ties` trust them;
+    :func:`link_transform` builds its rankings through :func:`_trusted`."""
 
     __slots__ = _fields = ("men_values", "women_values")
 
     def __init__(self, men_values: tuple[PairList, ...], women_values: tuple[PairList, ...]):
+        n = len(men_values)
+        for side, lists in (("men", men_values), ("women", women_values)):
+            if len(lists) != n or not all(_ranked(row, n) for row in lists):
+                raise ValueError(f"the {side}'s lists are not {n} rankings of 0..{n - 1} "
+                                 f"by descending value, ties by ascending index")
         object.__setattr__(self, "men_values", men_values)
         object.__setattr__(self, "women_values", women_values)
 
     @property
     def n(self) -> int:
         return len(self.men_values)
+
+
+def _ranked(row, n: int) -> bool:
+    """n (candidate, value) pairs whose candidates pass :func:`_permutes`, by
+    descending value, equal values by ascending candidate."""
+    try:
+        candidates, values = zip(*row)
+        return set(map(len, row)) == {2} and _permutes(candidates, n) and all(
+            a > b or a == b and c < d
+            for a, b, c, d in zip(values, values[1:], candidates, candidates[1:]))
+    except (TypeError, ValueError):  # a pair that is not two items, or values that do not compare
+        return False
 
 
 def validate(n, men_scores, women_scores) -> QuantInstance:
@@ -294,11 +317,18 @@ def derive_classical(instance: QuantInstance) -> StrictProfile:
     """Keep only the orderings the scores induce: each list is sorted by
     strictly decreasing own score. Rankings are permutations, so this skips
     :class:`StrictProfile`'s check, and keeps the instance as `_source`."""
-    profile = StrictProfile.__new__(StrictProfile)
-    for name, value in (("men_prefs", instance._ranking("men")),
-                        ("women_prefs", instance._ranking("women")), ("_source", instance)):
-        object.__setattr__(profile, name, value)
-    return profile
+    return _trusted(StrictProfile, men_prefs=instance._ranking("men"),
+                    women_prefs=instance._ranking("women"), _source=instance)
+
+
+def _trusted(cls, **slots):
+    """A `cls` record holding `slots` (all of them), built without the checks
+    of its ``__init__``: for values that meet its contract by construction,
+    and the one place that builds a record so."""
+    record = cls.__new__(cls)
+    for name, value in slots.items():
+        object.__setattr__(record, name, value)
+    return record
 
 
 def _rank_rows(rows) -> Matrix:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 
 from .gale_shapley import gs
-from .instances import Marriage, QuantInstance, ScoredProfile, WeakProfile, _partners
+from .instances import Marriage, QuantInstance, ScoredProfile, WeakProfile, _partners, _trusted
 
 MODES = ("add", "max")
 
@@ -54,12 +54,14 @@ def link_transform(instance: QuantInstance, mode: str) -> WeakProfile:
     """Replace every score with the pair's strength and re-derive rankings.
 
     Both members of a pair carry the identical value, so ties are common;
-    rows are sorted by descending value, ascending candidate index.
+    rows are sorted by descending value, ascending candidate index. Each row
+    lists its kept ranking, so the profile skips :class:`WeakProfile`'s check.
     """
     profile = _strengths(instance, mode)
     ranked = lambda rows, side: tuple(tuple((c, row[c]) for c in order)
                                       for row, order in zip(rows, profile._ranking(side)))
-    return WeakProfile(ranked(profile.men_scores, "men"), ranked(profile.women_scores, "women"))
+    return _trusted(WeakProfile, men_values=ranked(profile.men_scores, "men"),
+                    women_values=ranked(profile.women_scores, "women"))
 
 
 def _strengths(instance: QuantInstance, mode: str) -> ScoredProfile:

@@ -6,13 +6,16 @@ each placed pair clears, with one mask, its woman's column and every pair
 that would then block, so such a partner is never tried, and a branch is
 cut as soon as some man has no pair left. Every mask is built before the
 search, in O(n^2), by four prefix-OR walks down the kept rankings of both
-sides. Every member is certified by `is_stable`, so a fault in the cut could
-only drop members. The weak-stability filter scans every permutation. Both
-are exponential in the worst case, so the module refuses instances above a
-configurable size bound instead of silently sampling; it refuses empty ones
-too. It exists to certify the solvers: exact stable sets per notion,
-dominance-free subsets, lexicographic optima, highest-strength marriages,
-and the weak-stability dual filters used to cross-check set equalities.
+sides, and the last two men's pairs are memoized per state of their fields.
+Every member is certified by `is_stable`, so a fault in the cut could only
+drop members; members skip :class:`Marriage`'s permutation check, which the
+search meets by construction. The weak-stability filter scans every
+permutation. Both are exponential in the worst case, so the module refuses
+instances above a configurable size bound instead of silently sampling; it
+refuses empty ones too. It exists to certify the solvers: exact stable sets
+per notion, dominance-free subsets, lexicographic optima, highest-strength
+marriages, and the weak-stability dual filters used to cross-check set
+equalities.
 
 Each instance keeps its last search per value table and gap, so
 `enumerate_stable`, `lex_optimum`, `highest_link` and `feasible_partners`
@@ -26,7 +29,8 @@ from functools import reduce
 from operator import and_, getitem
 
 from .alpha import SemiorderProfile, TotalOrder
-from .instances import Marriage, QuantInstance, ScoredProfile, WeakProfile, _check_orders, _Record
+from .instances import (Marriage, QuantInstance, ScoredProfile, WeakProfile, _check_orders,
+                        _Record, _trusted)
 from .link import _check_mode, _totals, marriage_link
 from .stability import _check_notion, _lex_key, _table, dominates, is_stable
 
@@ -150,29 +154,54 @@ def _scan(
     Domains only shrink deeper in the tree, so a branch is cut as soon as a
     later man's n-bit field is empty. One test covers them all: adding
     2**(n-1) - 1 to a field's low n - 1 bits carries into its top bit iff
-    one of them is set. Each complete match is certified by `is_stable`, so
-    a fault in the cut could only drop members.
+    one of them is set.
+
+    The search from man n - 2 on reads only the last two men's fields,
+    `domain >> (n-2)*n`, so the (w, w_last) pairs that pass the mask are
+    found once per such key and kept for the rest of the scan; once man
+    n - 2 is placed, the last man's field holds at most one bit, so a
+    nonzero field is his cut test. Every member, memo hit or not, is
+    certified by `is_stable`, so a fault in the cut could only drop members.
+    Members skip :class:`Marriage`'s check (:func:`_trusted`), and `is_stable`
+    does not repeat it: the search places every woman once.
     """
     profile, g = _table(instance, notion, alpha)
     allowed = _masks(profile, g)
     n = instance.n
-    last = n - 1
+    if n == 1:  # no memo: the one match is certified alone
+        marriage = _trusted(Marriage, partner_of_man=(0,))
+        return [marriage] if is_stable(instance, marriage, notion, alpha) else []
+    penult = n - 2
     full = (1 << n) - 1
     every_pair = (1 << n * n) - 1
     rep = every_pair // full  # bit m*n for every man m
     low = rep * (full >> 1)  # the low n - 1 bits of every man's field
     top = rep << n - 1  # the top bit of every man's field
-    match = [0] * n
+    tails = [mask >> penult * n for mask in allowed[penult]]  # man n - 2's masks, last two fields
+    ends: dict[int, list[tuple[int, int]]] = {}  # the pairs of the last two men, per key
+    match = [0] * penult
     out: list[Marriage] = []
 
     def place(k: int, domain: int) -> None:
-        bits = domain >> k * n & full
-        if k == last:  # one woman is left to him
-            match[k] = bits.bit_length() - 1
-            marriage = Marriage(tuple(match))
-            if is_stable(instance, marriage, notion, alpha):
-                out.append(marriage)
+        if k == penult:
+            key = domain >> k * n
+            pairs = ends.get(key)
+            if pairs is None:
+                pairs = ends[key] = []
+                bits = key & full
+                while bits:
+                    w = (bits & -bits).bit_length() - 1
+                    bits &= bits - 1
+                    lone = (key & tails[w]) >> n  # the last man's field
+                    if lone:
+                        pairs.append((w, lone.bit_length() - 1))
+            head = tuple(match)
+            for pair in pairs:
+                marriage = _trusted(Marriage, partner_of_man=head + pair)
+                if is_stable(instance, marriage, notion, alpha):
+                    out.append(marriage)
             return
+        bits = domain >> k * n & full
         row = allowed[k]
         hi = top >> (k + 1) * n << (k + 1) * n  # the later men's top bits
         while bits:

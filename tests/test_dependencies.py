@@ -1,8 +1,8 @@
 """The package depends on nothing outside the standard library, starts
 without the heavy parts of it, keeps no memo in a module-level cache, reads
-its kept results only through their accessors, every public name has a
-reader outside the tests, and every docstring cross-reference names what
-exists."""
+its kept results only through their accessors, builds records without their
+checks in one helper only, every public name has a reader outside the
+tests, and every docstring cross-reference names what exists."""
 
 import ast
 import os
@@ -66,6 +66,22 @@ def test_only_the_accessors_read_the_kept_results():
                 continue
             stray += [f"{path.name}:{node.lineno}" for node in ast.walk(scope)
                       if isinstance(node, ast.Attribute) and node.attr == "_kept"]
+    assert not stray, stray
+
+
+# The one function that builds a record without the checks of its __init__;
+# every other builder of a record calls the record or this function.
+TRUSTED_BUILDERS = {("instances.py", "_trusted")}
+
+
+def test_only_the_trusted_builder_skips_a_records_checks():
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        for scope in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (path.name, getattr(scope, "name", None)) in TRUSTED_BUILDERS:
+                continue
+            stray += [f"{path.name}:{node.lineno}" for node in ast.walk(scope)
+                      if isinstance(node, ast.Attribute) and node.attr == "__new__"]
     assert not stray, stray
 
 

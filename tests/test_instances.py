@@ -251,3 +251,52 @@ def test_random_instance_needs_enough_scores():
         smq.random_instance(5, seed=0, max_score=4)
     tight = smq.random_instance(5, seed=0, max_score=5)
     assert all(sorted(row) == [1, 2, 3, 4, 5] for row in tight.men_scores)
+
+
+def test_a_malformed_weak_profile_is_refused():
+    # the weak-stability filter answered both with [Marriage((0,))]
+    with pytest.raises(ValueError, match="the women's lists are not 1 rankings"):
+        smq.weakly_stable_set(smq.WeakProfile((((0, 1),),), ()))
+    with pytest.raises(ValueError, match="the men's lists are not 1 rankings"):
+        smq.weakly_stable_set(smq.WeakProfile((((5, 1),),), (((0, 1),),)))
+
+
+@st.composite
+def maybe_weak_lists(draw):
+    """(men_values, women_values): n men's lists and about n women's lists of
+    (candidate, value) pairs, half the time all rankings, else lists that may
+    also repeat or miss a candidate, step outside 0..n-1, break the order,
+    have the wrong length or hold a pair of the wrong size."""
+    n = draw(st.integers(0, 4))
+    values = st.integers(0, 2)  # few values, so ties are common
+
+    @st.composite
+    def ranking(draw):
+        pairs = [(c, draw(values)) for c in draw(st.permutations(range(n)))]
+        return tuple(sorted(pairs, key=lambda p: (-p[1], p[0])))
+
+    pair = st.one_of(st.tuples(st.integers(-1, n), values),
+                     st.tuples(st.integers(0, n), values, values), st.tuples(values))
+    bent = st.one_of(ranking().map(lambda r: r[::-1]),
+                     st.lists(pair, min_size=max(n - 1, 0), max_size=n + 1).map(tuple))
+    row = ranking() if draw(st.booleans()) else st.one_of(ranking(), bent)
+    counts = (n, draw(st.sampled_from([n, n, n + 1, max(n - 1, 0)])))
+    return tuple(tuple(draw(row) for _ in range(count)) for count in counts)
+
+
+@given(maybe_weak_lists())
+def test_a_weak_profile_builds_iff_every_list_ranks_its_side(lists):
+    men_values, women_values = lists
+    n = len(men_values)
+
+    def ranks(row):
+        return (all(len(p) == 2 for p in row) and sorted(c for c, _ in row) == list(range(n))
+                and list(row) == sorted(row, key=lambda p: (-p[1], p[0])))
+
+    valid = len(women_values) == n and all(map(ranks, men_values + women_values))
+    try:
+        profile = smq.WeakProfile(men_values, women_values)
+    except ValueError:
+        assert not valid
+    else:
+        assert valid and profile.men_values == men_values

@@ -127,6 +127,36 @@ def test_the_uncertified_search_matches_the_pairwise_scan(inst, alpha):
                 assert part == [m for m in expected if m[0] == first], (notion, first)
 
 
+# n = 1 has no memo, n = 2 keeps it at man 0, and n = 3 and 4 reach it
+# through one or two placed men; ties make equal keys under different prefixes
+small_instances = st.one_of(tie_heavy_instances(max_n=4), instances(max_n=4, max_score=40))
+
+
+@given(small_instances, alphas)
+@settings(max_examples=200)
+def test_the_last_two_men_memo_matches_the_pairwise_scan(inst, alpha):
+    with patch.object(oracle, "is_stable", exact):
+        for notion in NOTIONS:
+            a = alpha if notion == "alpha" else None
+            expected = reference_pruned_scan(inst, notion, a)
+            assert [m.partner_of_man for m in _scan(inst, notion, a)] == expected, notion
+            for first in range(inst.n):
+                part = [m.partner_of_man for m in _scan(inst, notion, a, first)]
+                assert part == [m for m in expected if m[0] == first], (notion, first)
+
+
+@given(st.one_of(tie_heavy_instances(max_n=6), instances(max_n=6, max_score=30)), alphas)
+@settings(max_examples=40)
+def test_every_member_is_certified_once_memo_hit_or_not(inst, alpha):
+    for notion in NOTIONS:
+        a = alpha if notion == "alpha" else None
+        for first in (None, *range(inst.n)):
+            with patch.object(oracle, "is_stable", wraps=is_stable) as certify:
+                members = _scan(inst, notion, a, first)
+            assert [call.args[1] for call in certify.call_args_list] == members, (notion, first)
+            assert len(set(members)) == len(members)
+
+
 @pytest.mark.parametrize("n", [1, 9, 10])
 def test_forward_checking_matches_the_pairwise_scan_above_the_bound(n):
     # n = 1 has no later man to cut on; at n = 9 and 10 the n*n bits of a

@@ -19,8 +19,10 @@ RECORDS = [
     (smq.ScoredProfile(P_B.men_scores, P_B.women_scores), ("men_scores", "women_scores"),
      "ScoredProfile(men_scores=((3, 2), (4, 2)), women_scores=((8, 5), (3, 1)))"),
     (smq.Marriage((1, 0)), ("partner_of_man",), "Marriage(partner_of_man=(1, 0))"),
-    (smq.WeakProfile((((1, 7), (0, 5)),), (((0, 3),),)), ("men_values", "women_values"),
-     "WeakProfile(men_values=(((1, 7), (0, 5)),), women_values=(((0, 3),),))"),
+    (smq.WeakProfile((((1, 7), (0, 5)), ((0, 4), (1, 4))), (((0, 3), (1, 3)), ((1, 6), (0, 2)))),
+     ("men_values", "women_values"),
+     "WeakProfile(men_values=(((1, 7), (0, 5)), ((0, 4), (1, 4))), "
+     "women_values=(((0, 3), (1, 3)), ((1, 6), (0, 2))))"),
     (smq.step_trace(smq.derive_classical(P_A))[-1],
      ("proposer", "proposee", "outcome", "displaced"),
      "Proposal(proposer=0, proposee=1, outcome='engaged', displaced=None)"),
