@@ -128,7 +128,7 @@ def linearize(
         return derive_classical(instance)
     men = tuple(map(tuple, _extensions(instance, "men", alpha, women_order)))
     women = tuple(map(tuple, _extensions(instance, "women", alpha, men_order)))
-    return _trusted(StrictProfile, men_prefs=men, women_prefs=women, _source=None)
+    return _trusted(StrictProfile)(men, women, None)
 
 
 def _total(instance: QuantInstance, alpha: int) -> bool:

@@ -317,18 +317,32 @@ def derive_classical(instance: QuantInstance) -> StrictProfile:
     """Keep only the orderings the scores induce: each list is sorted by
     strictly decreasing own score. Rankings are permutations, so this skips
     :class:`StrictProfile`'s check, and keeps the instance as `_source`."""
-    return _trusted(StrictProfile, men_prefs=instance._ranking("men"),
-                    women_prefs=instance._ranking("women"), _source=instance)
+    return _trusted(StrictProfile)(instance._ranking("men"), instance._ranking("women"), instance)
 
 
-def _trusted(cls, **slots):
-    """A `cls` record holding `slots` (all of them), built without the checks
-    of its ``__init__``: for values that meet its contract by construction,
-    and the one place that builds a record so."""
-    record = cls.__new__(cls)
-    for name, value in slots.items():
-        object.__setattr__(record, name, value)
-    return record
+def _trusted(cls):
+    """The builder of `cls` records without the checks of its ``__init__``,
+    for values that meet its contract by construction, and the one place
+    that builds a record so. It takes one value per slot of `cls`, in
+    `__slots__` order. The oracle builds one :class:`Marriage` per member,
+    so a one-slot record is built without a loop."""
+    new = cls.__new__
+    puts = [getattr(cls, name).__set__ for name in cls.__slots__]
+    if len(puts) == 1:
+        (put,) = puts
+
+        def build(value):
+            record = new(cls)
+            put(record, value)
+            return record
+        return build
+
+    def build(*values):
+        record = new(cls)
+        for put, value in zip(puts, values, strict=True):
+            put(record, value)
+        return record
+    return build
 
 
 def _rank_rows(rows) -> Matrix:

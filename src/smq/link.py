@@ -60,8 +60,8 @@ def link_transform(instance: QuantInstance, mode: str) -> WeakProfile:
     profile = _strengths(instance, mode)
     ranked = lambda rows, side: tuple(tuple((c, row[c]) for c in order)
                                       for row, order in zip(rows, profile._ranking(side)))
-    return _trusted(WeakProfile, men_values=ranked(profile.men_scores, "men"),
-                    women_values=ranked(profile.women_scores, "women"))
+    return _trusted(WeakProfile)(ranked(profile.men_scores, "men"),
+                                 ranked(profile.women_scores, "women"))
 
 
 def _strengths(instance: QuantInstance, mode: str) -> ScoredProfile:

@@ -168,8 +168,9 @@ def _scan(
     profile, g = _table(instance, notion, alpha)
     allowed = _masks(profile, g)
     n = instance.n
+    member = _trusted(Marriage)
     if n == 1:  # no memo: the one match is certified alone
-        marriage = _trusted(Marriage, partner_of_man=(0,))
+        marriage = member((0,))
         return [marriage] if is_stable(instance, marriage, notion, alpha) else []
     penult = n - 2
     full = (1 << n) - 1
@@ -177,6 +178,7 @@ def _scan(
     rep = every_pair // full  # bit m*n for every man m
     low = rep * (full >> 1)  # the low n - 1 bits of every man's field
     top = rep << n - 1  # the top bit of every man's field
+    later = [top >> (k + 1) * n << (k + 1) * n for k in range(penult)]  # the later men's top bits
     tails = [mask >> penult * n for mask in allowed[penult]]  # man n - 2's masks, last two fields
     ends: dict[int, list[tuple[int, int]]] = {}  # the pairs of the last two men, per key
     match = [0] * penult
@@ -197,13 +199,13 @@ def _scan(
                         pairs.append((w, lone.bit_length() - 1))
             head = tuple(match)
             for pair in pairs:
-                marriage = _trusted(Marriage, partner_of_man=head + pair)
+                marriage = member(head + pair)
                 if is_stable(instance, marriage, notion, alpha):
                     out.append(marriage)
             return
         bits = domain >> k * n & full
         row = allowed[k]
-        hi = top >> (k + 1) * n << (k + 1) * n  # the later men's top bits
+        hi = later[k]
         while bits:
             w = (bits & -bits).bit_length() - 1
             bits &= bits - 1
