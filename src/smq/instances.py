@@ -100,7 +100,7 @@ class ScoredProfile(_Record):
     filled by one reader: :meth:`_ranking` keeps each side's rankings under
     ``"men"`` and ``"women"``; `link._strengths` keeps the pair-strength
     profile of each mode under ``"add"`` and ``"max"``; and
-    `oracle._stable_marriages` keeps ``(alpha, marriages)``, the last
+    `oracle._stable_marriages` keeps ``(alpha, matches)``, the last
     search of a value table and gap, under the notion's name (alpha 1 under
     ``"classical"``). A pickled profile carries none of them."""
 
@@ -181,7 +181,7 @@ class Marriage(_Record):
     """A perfect matching; partner_of_man[i] is the woman married to man i.
     Building one raises ValueError unless it permutes 0..len-1; readers trust that.
     Entry types go unchecked, so a float or bool equal to an index passes;
-    :func:`make_marriage` checks outside input. The oracle builds its members
+    :func:`make_marriage` checks outside input. The oracle builds its records
     through :func:`_trusted`, since its search places every woman once."""
 
     __slots__ = _fields = ("partner_of_man",)
@@ -206,7 +206,9 @@ class Marriage(_Record):
 def _partners(instance: QuantInstance, marriage: Marriage) -> tuple[int, ...]:
     """The marriage's partner_of_man, after a ValueError unless it has the
     instance's size; a :class:`Marriage` is a permutation already, so that
-    is all a reader tests."""
+    is all a reader tests. Only checked marriages and those the oracle's
+    search builds reach it: a :func:`_trusted` one that does not permute
+    would pass unnoticed."""
     match = marriage.partner_of_man
     if len(match) != instance.n:
         raise ValueError(f"a marriage of size {len(match)} ({list(match)}) is not a "

@@ -8,14 +8,17 @@ cut as soon as some man has no pair left. Every mask is built before the
 search, in O(n^2), by four prefix-OR walks down the kept rankings of both
 sides, and the last two men's pairs are memoized per state of their fields.
 Every member is certified by `is_stable`, so a fault in the cut could only
-drop members; members skip :class:`Marriage`'s permutation check, which the
-search meets by construction. The weak-stability filter scans every
-permutation. Both are exponential in the worst case, so the module refuses
-instances above a configurable size bound instead of silently sampling; it
-refuses empty ones too. It exists to certify the solvers: exact stable sets
-per notion, dominance-free subsets, lexicographic optima, highest-strength
-marriages, and the weak-stability dual filters used to cross-check set
-equalities.
+drop members. Members are match tuples in the search, in its kept results
+and in a :class:`StableSet`'s columns. A :class:`Marriage` is built, without
+the permutation check the search meets by construction, only where one is
+asked for: a throwaway one per certification and per dominance test, one per
+skyline member, and those that a set's records or a query return. The
+weak-stability filter scans every permutation. Both are exponential in the
+worst case, so the module refuses instances above a configurable size bound
+instead of silently sampling; it refuses empty ones too. It exists to
+certify the solvers: exact stable sets per notion, dominance-free subsets,
+lexicographic optima, highest-strength marriages, and the weak-stability
+dual filters used to cross-check set equalities.
 
 Each instance keeps its last search per value table and gap, so
 `enumerate_stable`, `lex_optimum`, `highest_link` and `feasible_partners`
@@ -35,6 +38,7 @@ from .link import _check_mode, _totals, marriage_link
 from .stability import _check_notion, _lex_key, _table, dominates, is_stable
 
 DEFAULT_SIZE_BOUND = 8
+_marriage = _trusted(Marriage)  # members meet Marriage's check by construction
 
 
 class SizeBoundError(ValueError):
@@ -53,35 +57,47 @@ class StableEntry(_Record):
 
 class StableSet(_Record):
     """All marriages stable under one notion, in lexicographic match order,
-    annotated with dominance flags and both aggregate link strengths."""
+    annotated with dominance flags and both aggregate link strengths.
 
-    __slots__ = _fields = ("notion", "alpha", "entries")
+    It keeps columns: the match tuples, the flags, the two totals and the
+    undominated members' :class:`Marriage` records, which ``len``,
+    :meth:`to_json` and :func:`undominated` read. `entries` builds its
+    StableEntry and Marriage records on first read and keeps them, and
+    :meth:`marriages` builds Marriage records per call. ``==``, ``hash``,
+    ``repr`` and pickling read `entries`; a set built from entries keeps
+    them and derives its columns."""
+
+    _fields = ("notion", "alpha", "entries")
+    __slots__ = ("notion", "alpha", "_matches", "_flags", "_adds", "_maxes", "_skyline", "_entries")
 
     def __init__(self, notion: str, alpha: int | None, entries: tuple[StableEntry, ...]):
-        object.__setattr__(self, "notion", notion)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "entries", entries)
+        marriages, flags, adds, maxes = ([getattr(e, name) for e in entries]
+                                         for name in StableEntry._fields)
+        values = (notion, alpha, [m.partner_of_man for m in marriages], flags, adds, maxes,
+                  list(itertools.compress(marriages, flags)), entries)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @property
+    def entries(self) -> tuple[StableEntry, ...]:
+        if self._entries is None:
+            object.__setattr__(self, "_entries", tuple(map(
+                StableEntry, self.marriages(), self._flags, self._adds, self._maxes)))
+        return self._entries
 
     def marriages(self) -> list[Marriage]:
-        return [e.marriage for e in self.entries]
+        return list(map(_marriage, self._matches))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._matches)
 
     def to_json(self) -> dict:
-        return {
-            "notion": self.notion,
-            "alpha": self.alpha,
-            "marriages": [
-                {
-                    "match": list(e.marriage.partner_of_man),
-                    "undominated": e.undominated,
-                    "link_add": e.link_add,
-                    "link_max": e.link_max,
-                }
-                for e in self.entries
-            ],
-        }
+        return {"notion": self.notion, "alpha": self.alpha, "marriages": [
+            {"match": list(match), "undominated": flag, "link_add": add, "link_max": top}
+            for match, flag, add, top in zip(self._matches, self._flags, self._adds, self._maxes)]}
+
+
+_stable_set = _trusted(StableSet)
 
 
 def _check_bound(n: int, size_bound: int) -> None:
@@ -137,8 +153,8 @@ def _masks(profile: ScoredProfile, g: int) -> list[list[int]]:
 
 def _scan(
     instance: QuantInstance, notion: str, alpha: int | None, first: int | None = None
-) -> list[Marriage]:
-    """Stable marriages in lexicographic order, by backtracking with forward
+) -> list[tuple[int, ...]]:
+    """Stable match tuples in lexicographic order, by backtracking with forward
     checking: men are placed in index order, each trying the free women in
     ascending index. With `first` given, man 0 is placed with that woman only.
 
@@ -161,17 +177,15 @@ def _scan(
     found once per such key and kept for the rest of the scan; once man
     n - 2 is placed, the last man's field holds at most one bit, so a
     nonzero field is his cut test. Every member, memo hit or not, is
-    certified by `is_stable`, so a fault in the cut could only drop members.
-    Members skip :class:`Marriage`'s check (:func:`_trusted`), and `is_stable`
-    does not repeat it: the search places every woman once.
+    certified by `is_stable`, on a throwaway :class:`Marriage` that skips its
+    check (:func:`_trusted`), so a fault in the cut could only drop members;
+    `is_stable` does not repeat the check: the search places every woman once.
     """
     profile, g = _table(instance, notion, alpha)
     allowed = _masks(profile, g)
     n = instance.n
-    member = _trusted(Marriage)
     if n == 1:  # no memo: the one match is certified alone
-        marriage = member((0,))
-        return [marriage] if is_stable(instance, marriage, notion, alpha) else []
+        return [(0,)] if is_stable(instance, _marriage((0,)), notion, alpha) else []
     penult = n - 2
     full = (1 << n) - 1
     every_pair = (1 << n * n) - 1
@@ -182,7 +196,7 @@ def _scan(
     tails = [mask >> penult * n for mask in allowed[penult]]  # man n - 2's masks, last two fields
     ends: dict[int, list[tuple[int, int]]] = {}  # the pairs of the last two men, per key
     match = [0] * penult
-    out: list[Marriage] = []
+    out: list[tuple[int, ...]] = []
 
     def place(k: int, domain: int) -> None:
         if k == penult:
@@ -199,9 +213,9 @@ def _scan(
                         pairs.append((w, lone.bit_length() - 1))
             head = tuple(match)
             for pair in pairs:
-                marriage = member(head + pair)
-                if is_stable(instance, marriage, notion, alpha):
-                    out.append(marriage)
+                member = head + pair
+                if is_stable(instance, _marriage(member), notion, alpha):
+                    out.append(member)
             return
         bits = domain >> k * n & full
         row = allowed[k]
@@ -221,11 +235,11 @@ def _scan(
 
 def _stable_marriages(
     instance: QuantInstance, notion: str, alpha: int | None, size_bound: int, jobs: int = 1
-) -> tuple[Marriage, ...]:
-    """The stable set in lexicographic match order, without annotations;
-    with jobs > 1 the parts, one per partner of man 0, come back in order.
+) -> tuple[tuple[int, ...], ...]:
+    """The stable set as match tuples in lexicographic order, with no record
+    built; with jobs > 1 each worker returns the list for one partner of man 0.
 
-    The tuple of certified marriages is kept on the instance per value table
+    The tuple of certified matches is kept on the instance per value table
     and gap, alpha 1 as classical: a later call for the same notion and
     alpha returns that tuple without searching; a call at another alpha
     searches and replaces it. The job count is not in the key, since the
@@ -242,14 +256,9 @@ def _stable_marriages(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(jobs, instance.n)) as pool:
-            parts = pool.map(
-                _scan,
-                itertools.repeat(instance),
-                itertools.repeat(notion),
-                itertools.repeat(alpha),
-                range(instance.n),
-            )
-            stable = tuple(m for part in parts for m in part)
+            parts = pool.map(_scan, *map(itertools.repeat, (instance, notion, alpha)),
+                             range(instance.n))
+            stable = tuple(itertools.chain.from_iterable(parts))
     else:
         stable = tuple(_scan(instance, notion, alpha))
     instance._kept[notion] = alpha, stable
@@ -281,40 +290,42 @@ def enumerate_stable(
     decides on its first rival, since a dominated x is dominated by every
     rival (one that gave every man x's score would share x's dominator, and
     no skyline member is dominated). The link totals are read from the kept
-    strength tables.
+    strength tables. Flags and totals are computed here, and the set keeps
+    them as columns beside the match tuples, with the skyline's records.
 
     Raises SizeBoundError when n exceeds size_bound (default 8), and
     ValueError when n < 1, as every query of this module does.
     """
-    stable = _stable_marriages(instance, notion, alpha, size_bound, jobs)
+    matches = _stable_marriages(instance, notion, alpha, size_bound, jobs)
     men, ranking = instance.men_scores, instance._ranking("men")
-    matches = [m.partner_of_man for m in stable]
     sums = [sum(map(getitem, men, match)) for match in matches]
-    flags = [False] * len(stable)
-    skyline: list[Marriage] = []
+    flags = [False] * len(matches)
+    skyline: list[tuple[int, Marriage]] = []  # (place in the set, record), in visiting order
     covers = [[0] * instance.n for _ in men]
-    for i in sorted(range(len(stable)), key=sums.__getitem__, reverse=True):
-        rivals = reduce(and_, map(getitem, covers, matches[i]))
-        if rivals and dominates(instance, skyline[(rivals & -rivals).bit_length() - 1], stable[i]):
+    for i in sorted(range(len(matches)), key=sums.__getitem__, reverse=True):
+        match = matches[i]
+        rivals = reduce(and_, map(getitem, covers, match))
+        if rivals and dominates(instance, skyline[(rivals & -rivals).bit_length() - 1][1],
+                                _marriage(match)):
             continue
         flags[i] = True
         bit = 1 << len(skyline)
-        skyline.append(stable[i])
-        for row, order, cover, w in zip(men, ranking, covers, matches[i]):
+        skyline.append((i, _marriage(match)))
+        for row, order, cover, w in zip(men, ranking, covers, match):
             # the women this man scores at most as high as w: a suffix of his ranking
             bar = row[w]
             for v in reversed(order):
                 if row[v] > bar:
                     break
                 cover[v] |= bit
-    entries = tuple(map(StableEntry, stable, flags, _totals(instance, matches, "add"),
-                        _totals(instance, matches, "max")))
-    return StableSet(notion, alpha, entries)
+    return _stable_set(notion, alpha, matches, flags, _totals(instance, matches, "add"),
+                       _totals(instance, matches, "max"),
+                       [m for _, m in sorted(skyline)], None)
 
 
 def undominated(instance: QuantInstance, stable_set: StableSet) -> list[Marriage]:
     """Members of the set dominated by no other member."""
-    return [e.marriage for e in stable_set.entries if e.undominated]
+    return list(stable_set._skyline)
 
 
 def lex_optimum(
@@ -332,7 +343,7 @@ def lex_optimum(
     _check_orders(instance.n, men_order, women_order)
     stable = _stable_marriages(instance, "alpha", alpha, size_bound)
     rank = {w: r for r, w in enumerate(women_order)}
-    return min(stable, key=lambda m: _lex_key(m, men_order, rank))
+    return _marriage(min(stable, key=lambda match: _lex_key(match, men_order, rank)))
 
 
 def highest_link(
@@ -344,9 +355,9 @@ def highest_link(
     """Link-stable marriages attaining the maximal aggregate strength."""
     _check_mode(mode)
     stable = _stable_marriages(instance, f"link-{mode}", None, size_bound)
-    strengths = [marriage_link(instance, m, mode) for m in stable]
+    strengths = [marriage_link(instance, _marriage(match), mode) for match in stable]
     best = max(strengths)
-    return [m for m, s in zip(stable, strengths) if s == best]
+    return [_marriage(match) for match, s in zip(stable, strengths) if s == best]
 
 
 def feasible_partners(
@@ -357,13 +368,9 @@ def feasible_partners(
 ) -> tuple[list[set[int]], list[set[int]]]:
     """Per-person partner sets across all alpha-stable marriages: first the
     men's woman-sets, then the women's man-sets."""
-    men: list[set[int]] = [set() for _ in range(instance.n)]
-    women: list[set[int]] = [set() for _ in range(instance.n)]
-    for marriage in _stable_marriages(instance, "alpha", alpha, size_bound):
-        for m, w in marriage.pairs():
-            men[m].add(w)
-            women[w].add(m)
-    return men, women
+    # column m holds man m's partners; the set is never empty, as gs's marriage is in it
+    men = list(map(set, zip(*_stable_marriages(instance, "alpha", alpha, size_bound))))
+    return men, [{m for m, partners in enumerate(men) if w in partners} for w in range(instance.n)]
 
 
 def weakly_stable_set(
@@ -382,26 +389,17 @@ def weakly_stable_set(
     """
     _check_bound(profile.n, size_bound)
     if isinstance(profile, SemiorderProfile):
-        men_prefers = lambda m, a, b: profile.strictly_prefers("men", m, a, b)
-        women_prefers = lambda w, a, b: profile.strictly_prefers("women", w, a, b)
+        prefers = profile.strictly_prefers
     else:
-        men_values = [dict(row) for row in profile.men_values]
-        women_values = [dict(row) for row in profile.women_values]
-        men_prefers = lambda m, a, b: men_values[m][a] > men_values[m][b]
-        women_prefers = lambda w, a, b: women_values[w][a] > women_values[w][b]
-
+        values = {"men": list(map(dict, profile.men_values)),
+                  "women": list(map(dict, profile.women_values))}
+        prefers = lambda side, p, a, b: values[side][p][a] > values[side][p][b]
+    n = profile.n
     out = []
-    for perm in itertools.permutations(range(profile.n)):
-        inverse = [0] * profile.n
-        for m, w in enumerate(perm):
-            inverse[w] = m
-        blocked = any(
-            w != perm[m]
-            and men_prefers(m, w, perm[m])
-            and women_prefers(w, m, inverse[w])
-            for m in range(profile.n)
-            for w in range(profile.n)
-        )
-        if not blocked:
-            out.append(Marriage(perm))
+    for perm in itertools.permutations(range(n)):
+        marriage = _marriage(perm)
+        inverse = marriage.inverse()
+        if not any(w != perm[m] and prefers("men", m, w, perm[m])
+                   and prefers("women", w, m, inverse[w]) for m in range(n) for w in range(n)):
+            out.append(marriage)
     return out

@@ -187,10 +187,10 @@ def lex_key(marriage: Marriage, men_order, women_order) -> tuple[int, ...]:
     Smaller keys are better (rank 0 is the most popular woman). Raises
     ValueError unless both orders permute the marriage's indices."""
     _check_orders(len(marriage.partner_of_man), men_order, women_order)
-    return _lex_key(marriage, men_order, {w: r for r, w in enumerate(women_order)})
+    return _lex_key(marriage.partner_of_man, men_order, {w: r for r, w in enumerate(women_order)})
 
 
-def _lex_key(marriage: Marriage, men_order, rank: dict[int, int]) -> tuple[int, ...]:
-    """:func:`lex_key` with women_order given as rank[w], so a caller that
-    compares many marriages builds the ranks once."""
-    return tuple(rank[marriage.partner_of_man[m]] for m in men_order)
+def _lex_key(match: tuple[int, ...], men_order, rank: dict[int, int]) -> tuple[int, ...]:
+    """:func:`lex_key` of a match tuple, with women_order given as rank[w],
+    so a caller that compares many matches builds the ranks once."""
+    return tuple(rank[match[m]] for m in men_order)

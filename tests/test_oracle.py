@@ -91,7 +91,40 @@ def test_search_and_skyline_match_exhaustive_scan(inst, alpha):
         assert smq.enumerate_stable(inst, notion, a).to_json() == expected.to_json()
         # the parts the workers search, one per partner of man 0, in order
         parts = [m for first in range(inst.n) for m in _scan(inst, notion, a, first)]
-        assert parts == expected.marriages(), notion
+        assert parts == [m.partner_of_man for m in expected.marriages()], notion
+
+
+def eager_json(stable_set):
+    """`to_json` as read off the set's records."""
+    return {"notion": stable_set.notion, "alpha": stable_set.alpha, "marriages": [
+        {"match": list(e.marriage.partner_of_man), "undominated": e.undominated,
+         "link_add": e.link_add, "link_max": e.link_max} for e in stable_set.entries]}
+
+
+@given(st.one_of(tie_heavy_instances(max_n=5), instances(max_n=5)), alphas, st.booleans())
+@settings(max_examples=60)
+def test_the_columns_answer_as_eager_records_do(inst, alpha, entries_first):
+    # the set keeps columns and builds its records on request; the reference
+    # set is built from its records, as a caller of StableSet builds one
+    for notion in NOTIONS:
+        a = alpha if notion == "alpha" else None
+        expected = reference_enumerate_stable(inst, notion, a)
+        doc = eager_json(expected)
+        stable = smq.enumerate_stable(inst, notion, a)
+        if entries_first:
+            assert stable.entries == expected.entries, notion
+        assert stable.to_json() == expected.to_json() == doc, notion
+        assert stable.entries == expected.entries, notion
+        marriages = [e.marriage for e in expected.entries]
+        assert stable.marriages() == expected.marriages() == marriages, notion
+        flagged = [e.marriage for e in expected.entries if e.undominated]
+        assert smq.undominated(inst, stable) == smq.undominated(inst, expected) == flagged
+        assert len(stable) == len(expected) == len(expected.entries)
+        assert stable == expected and hash(stable) == hash(expected)
+        assert repr(stable) == repr(expected)
+        clone = pickle.loads(pickle.dumps(stable))
+        assert clone == expected and clone.to_json() == doc
+        assert smq.undominated(inst, clone) == flagged
 
 
 def exact(*args):
@@ -110,8 +143,7 @@ def test_forward_checking_matches_the_pairwise_scan(inst, alpha):
     with patch.object(oracle, "is_stable", exact):
         for notion in NOTIONS:
             a = alpha if notion == "alpha" else None
-            matches = [m.partner_of_man for m in _scan(inst, notion, a)]
-            assert matches == reference_pruned_scan(inst, notion, a), notion
+            assert _scan(inst, notion, a) == reference_pruned_scan(inst, notion, a), notion
 
 
 @given(tie_heavy_instances(min_n=6, max_n=9), alphas)
@@ -123,7 +155,7 @@ def test_the_uncertified_search_matches_the_pairwise_scan(inst, alpha):
             a = alpha if notion == "alpha" else None
             expected = reference_pruned_scan(inst, notion, a)
             for first in range(inst.n):
-                part = [m.partner_of_man for m in _scan(inst, notion, a, first)]
+                part = _scan(inst, notion, a, first)
                 assert part == [m for m in expected if m[0] == first], (notion, first)
 
 
@@ -139,9 +171,9 @@ def test_the_last_two_men_memo_matches_the_pairwise_scan(inst, alpha):
         for notion in NOTIONS:
             a = alpha if notion == "alpha" else None
             expected = reference_pruned_scan(inst, notion, a)
-            assert [m.partner_of_man for m in _scan(inst, notion, a)] == expected, notion
+            assert _scan(inst, notion, a) == expected, notion
             for first in range(inst.n):
-                part = [m.partner_of_man for m in _scan(inst, notion, a, first)]
+                part = _scan(inst, notion, a, first)
                 assert part == [m for m in expected if m[0] == first], (notion, first)
 
 
@@ -153,8 +185,11 @@ def test_every_member_is_certified_once_memo_hit_or_not(inst, alpha):
         for first in (None, *range(inst.n)):
             with patch.object(oracle, "is_stable", wraps=is_stable) as certify:
                 members = _scan(inst, notion, a, first)
-            assert [call.args[1] for call in certify.call_args_list] == members, (notion, first)
+            certified = [call.args[1].partner_of_man for call in certify.call_args_list]
+            assert certified == members, (notion, first)
             assert len(set(members)) == len(members)
+            # the certification reads only a marriage's length, not whether it permutes
+            assert all(sorted(m) == list(range(inst.n)) for m in members), (notion, first)
 
 
 @pytest.mark.parametrize("n", [1, 9, 10])
@@ -166,7 +201,7 @@ def test_forward_checking_matches_the_pairwise_scan_above_the_bound(n):
         for notion in NOTIONS:
             a = alpha if notion == "alpha" else None
             with patch.object(oracle, "is_stable", exact):
-                matches = [m.partner_of_man for m in _scan(inst, notion, a)]
+                matches = _scan(inst, notion, a)
             assert matches == reference_pruned_scan(inst, notion, a), (seed, notion)
 
 

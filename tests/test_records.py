@@ -98,7 +98,7 @@ def test_records_compare_by_class_and_fields():
     assert smq.QuantInstance(2, a, b) != smq.ScoredProfile(a, b)
     assert smq.Marriage((0, 1)) != ((0, 1),) and smq.Marriage((0, 1)) != smq.Marriage((1, 0))
     assert smq.Proposal(0, 1, "engaged") == smq.Proposal(0, 1, "engaged", None)
-    # workers of --jobs return lists of marriages
+    # a caller may pickle the marriages a stable set returns
     marriages = smq.enumerate_stable(P_B, "alpha", 2).marriages()
     assert pickle.loads(pickle.dumps(marriages)) == marriages
 
