@@ -36,7 +36,6 @@ from .instances import (
     WeakProfile,
     ZeroSizeError,
     derive_classical,
-    make_marriage,
     man_name,
     parse_instance,
     random_instance,
@@ -107,7 +106,6 @@ __all__ = [
     "link_stable_gs",
     "link_transform",
     "link_value",
-    "make_marriage",
     "man_name",
     "marriage_link",
     "parse_instance",

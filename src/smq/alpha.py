@@ -13,8 +13,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .gale_shapley import _solve, gs
-from .instances import (Marriage, QuantInstance, StrictProfile, _check_orders, _rank_rows,
-                        _Record, _trusted, derive_classical)
+from .instances import (Marriage, QuantInstance, StrictProfile, _check_choice, _check_indices,
+                        _check_permutes, _rank_rows, _Record, _trusted, derive_classical)
 from .stability import _check_notion
 
 TotalOrder = tuple[int, ...]
@@ -48,19 +48,23 @@ class SemiorderProfile(_Record):
         return scores[person]
 
     def strictly_prefers(self, side: str, person: int, a: int, b: int) -> bool:
+        _check_choice("side", side, ("men", "women"))
+        _check_indices(self.n, person=person, a=a, b=b)
+        return self._prefers(side, person, a, b)
+
+    def _prefers(self, side: str, person: int, a: int, b: int) -> bool:
+        """:meth:`strictly_prefers` unchecked, for callers that pass indices
+        by construction: the weak-stability filter and `smq transform`."""
         row = self._row(side, person)
         return row[a] - row[b] >= self.alpha
 
     def incomparable_pairs(self, side: str, person: int) -> list[tuple[int, int]]:
         """All unordered incomparable candidate pairs (a < b) on one list."""
-        row = self._row(side, person)
-        n = len(row)
-        return [
-            (a, b)
-            for a in range(n)
-            for b in range(a + 1, n)
-            if abs(row[a] - row[b]) < self.alpha
-        ]
+        _check_choice("side", side, ("men", "women"))
+        _check_indices(self.n, person=person)
+        row, n = self._row(side, person), self.n
+        return [(a, b) for a in range(n) for b in range(a + 1, n)
+                if abs(row[a] - row[b]) < self.alpha]
 
 
 def alpha_transform(instance: QuantInstance, alpha: int) -> SemiorderProfile:
@@ -122,7 +126,7 @@ def linearize(
 
     Raises ValueError unless both orders permute 0..n-1.
     """
-    _check_orders(semiorder.n, men_order, women_order)
+    _check_permutes(semiorder.n, men_order, women_order)
     instance, alpha = semiorder.instance, semiorder.alpha
     if _total(instance, alpha):
         return derive_classical(instance)
@@ -199,9 +203,9 @@ def lex_male_alpha_gs(
     :func:`_sweep` read only as far as he proposes, and each woman's only at
     her first comparison, as far as the first of those two proposers.
     """
-    alpha_transform(instance, alpha)  # refuses an alpha that is not an integer >= 1
+    _check_notion("alpha", alpha)
     men_order, women_order = popularity_orders(instance, rule)
-    _check_orders(instance.n, men_order, women_order)
+    _check_permutes(instance.n, men_order, women_order)
     if _total(instance, alpha):
         return gs(instance, "men")
     return _solve(_extensions(instance, "men", alpha, women_order),

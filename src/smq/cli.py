@@ -20,7 +20,6 @@ from .instances import (
     Marriage,
     QuantInstance,
     derive_classical,
-    make_marriage,
     man_name,
     parse_instance,
     random_instance,
@@ -158,7 +157,7 @@ def _parse_marriage(text: str, n: int) -> Marriage:
         raise _Fail(BAD_MARRIAGE, f"--marriage {text!r} is not a comma-separated int list")
     if len(values) == n:
         try:
-            return make_marriage(values)
+            return Marriage(tuple(values))
         except ValueError:
             pass
     raise _Fail(BAD_MARRIAGE, f"--marriage {text!r} is not a permutation of 0..{n - 1}")
@@ -238,7 +237,7 @@ def _cmd_transform(args) -> int:
     instance = _load_instance(args.instance)
     alpha = _require_alpha(args, not (args.link_add or args.link_max), "--link-add or --link-max")
     if alpha is not None:
-        prefers = alpha_transform(instance, alpha).strictly_prefers
+        prefers = alpha_transform(instance, alpha)._prefers
         view = derive_classical(instance)
         rows = view.men_prefs, view.women_prefs
         label = lambda other, cand: other(cand)

@@ -8,14 +8,16 @@ them, are read lazily. Either way, one loop does the proposing.
 
 from __future__ import annotations
 
-from .instances import _VALUE_ROWS, Marriage, ScoredProfile, StrictProfile, _Record
+from .instances import (_VALUE_ROWS, Marriage, ScoredProfile, StrictProfile, _check_choice,
+                        _inverse, _Record)
 
 
 class Proposal(_Record):
     """One proposal event, indexed from the proposing side: with men
     proposing, proposer is a man and proposee a woman. outcome is "engaged"
     (proposee was free), "rejected" (she kept her fiance) or "displaced"
-    (she switched; displaced is the fiance she released)."""
+    (she switched; displaced is the fiance she released). Built by
+    :func:`step_trace`, so the constructor checks nothing."""
 
     __slots__ = _fields = ("proposer", "proposee", "outcome", "displaced")
 
@@ -87,8 +89,7 @@ def _sides(profile: StrictProfile | ScoredProfile, proposing_side: str):
     """(proposer lists, receivers: value rows or unread list iterators) for
     the proposing side, after a ValueError for any other side. Both records
     checked their shapes when built, so this reads them as they stand."""
-    if proposing_side not in ("men", "women"):
-        raise ValueError(f"proposing_side must be 'men' or 'women', got {proposing_side!r}")
+    _check_choice("proposing_side", proposing_side, ("men", "women"))
     if isinstance(profile, StrictProfile) and profile._source is not None:
         profile = profile._source  # its rankings are the lists
     if isinstance(profile, ScoredProfile):
@@ -100,9 +101,10 @@ def _sides(profile: StrictProfile | ScoredProfile, proposing_side: str):
 
 
 def _solve(proposer_lists, receiver_values, proposing_side: str) -> Marriage:
-    """The marriage deferred acceptance reaches, as partner_of_man."""
-    marriage = Marriage(tuple(_deferred_acceptance(proposer_lists, receiver_values)))
-    return marriage if proposing_side == "women" else Marriage(marriage.inverse())
+    """The marriage deferred acceptance reaches, as partner_of_man: the
+    fiances are the men's partners, or with men proposing the women's."""
+    fiance = _deferred_acceptance(proposer_lists, receiver_values)
+    return Marriage(tuple(fiance) if proposing_side == "women" else _inverse(fiance))
 
 
 def _deferred_acceptance(proposer_lists, receiver_values) -> list[int]:

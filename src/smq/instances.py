@@ -179,25 +179,19 @@ class StrictProfile(_Record):
 
 class Marriage(_Record):
     """A perfect matching; partner_of_man[i] is the woman married to man i.
-    Building one raises ValueError unless it permutes 0..len-1; readers trust that.
-    Entry types go unchecked, so a float or bool equal to an index passes;
-    :func:`make_marriage` checks outside input. The oracle builds its records
-    through :func:`_trusted`, since its search places every woman once."""
+    Building one raises ValueError unless it holds 0..len-1 once as exact
+    ints (:func:`_permutes`); readers trust that. The oracle builds its
+    records through :func:`_trusted`, since its search places every woman once."""
 
     __slots__ = _fields = ("partner_of_man",)
 
     def __init__(self, partner_of_man: tuple[int, ...]):
-        if not set(partner_of_man).issuperset(range(len(partner_of_man))):
-            raise ValueError(f"{list(partner_of_man)} is not a permutation "
-                             f"of 0..{len(partner_of_man) - 1}")
+        _check_permutes(len(partner_of_man), partner_of_man)
         object.__setattr__(self, "partner_of_man", partner_of_man)
 
     def inverse(self) -> tuple[int, ...]:
         """partner_of_woman: entry j is the man married to woman j."""
-        out = [0] * len(self.partner_of_man)
-        for m, w in enumerate(self.partner_of_man):
-            out[w] = m
-        return tuple(out)
+        return _inverse(self.partner_of_man)
 
     def pairs(self) -> list[tuple[int, int]]:
         return list(enumerate(self.partner_of_man))
@@ -221,11 +215,32 @@ def _permutes(values, n: int) -> bool:
     return set(map(type, values)) <= {int} and len(values) == n and set(values).issuperset(range(n))
 
 
-def _check_orders(n: int, *orders: tuple[int, ...]) -> None:
-    """Raise ValueError unless each order passes :func:`_permutes`."""
-    for order in orders:
-        if not _permutes(order, n):
-            raise ValueError(f"order {list(order)} is not a permutation of 0..{n - 1}")
+def _inverse(match) -> tuple[int, ...]:
+    """The inverse of a permutation of 0..n-1: entry j is the index holding j."""
+    out = [0] * len(match)
+    for i, j in enumerate(match):
+        out[j] = i
+    return tuple(out)
+
+
+def _check_indices(n: int, **indices: int) -> None:
+    """Raise ValueError naming the first argument that is not an exact int in 0..n-1."""
+    for name, index in indices.items():
+        if type(index) is not int or not 0 <= index < n:
+            raise ValueError(f"{name} {index!r} is not an index of an instance of size {n}")
+
+
+def _check_choice(name: str, value, choices: tuple[str, ...]) -> None:
+    """Raise ValueError naming the argument unless value is one of the choices."""
+    if value not in choices:
+        raise ValueError(f"{name} must be {' or '.join(map(repr, choices))}, got {value!r}")
+
+
+def _check_permutes(n: int, *sequences: tuple[int, ...]) -> None:
+    """Raise ValueError unless each sequence passes :func:`_permutes`."""
+    for values in sequences:
+        if not _permutes(values, n):
+            raise ValueError(f"{list(values)} is not a permutation of 0..{n - 1}")
 
 
 PairList = tuple[tuple[int, int], ...]
@@ -355,17 +370,6 @@ def _rank_rows(rows) -> Matrix:
     index = tuple(range(len(rows[0]) if rows else 0))
     # a list's __getitem__ is a C method, cheaper per call than a tuple's slot wrapper
     return tuple([tuple(sorted(index, key=list(row).__getitem__, reverse=True)) for row in rows])
-
-
-def make_marriage(values) -> Marriage:
-    """Build a marriage from outside input, woman indices one per man.
-    Raises ValueError unless there is at least one entry and every entry is
-    an int; :class:`Marriage` then refuses one that does not permute 0..n-1."""
-    match = tuple(values)
-    # exact int type, checked in C: bools and floats equal indices but are not indices
-    if set(map(type, match)) != {int}:
-        raise ValueError(f"{list(match)} is not a non-empty list of int indices")
-    return Marriage(match)
 
 
 def parse_instance(text: str) -> QuantInstance:

@@ -13,23 +13,17 @@ from __future__ import annotations
 import operator
 
 from .gale_shapley import gs
-from .instances import Marriage, QuantInstance, ScoredProfile, WeakProfile, _partners, _trusted
+from .instances import (Marriage, QuantInstance, ScoredProfile, WeakProfile, _check_choice,
+                        _check_indices, _partners, _trusted)
 
 MODES = ("add", "max")
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"mode must be 'add' or 'max', got {mode!r}")
 
 
 def link_value(instance: QuantInstance, man: int, woman: int, mode: str) -> int:
     """Strength of one pair, as :func:`_strengths` keeps it: sum for 'add',
     max for 'max'. Raises ValueError unless both indices are ints in 0..n-1."""
-    for index in (man, woman):
-        if type(index) is not int or not 0 <= index < instance.n:
-            raise ValueError(f"{index!r} is not an index of an instance of size {instance.n}")
-    _check_mode(mode)
+    _check_indices(instance.n, man=man, woman=woman)
+    _check_choice("mode", mode, MODES)
     a, b = instance.men_scores[man][woman], instance.women_scores[woman][man]
     return a + b if mode == "add" else max(a, b)
 
@@ -68,7 +62,7 @@ def _strengths(instance: QuantInstance, mode: str) -> ScoredProfile:
     """The pair strengths as a :class:`ScoredProfile` of (values,
     transpose). Built once per instance and mode and kept on the instance
     with its rankings; every reader shares it, so none may mutate it."""
-    _check_mode(mode)
+    _check_choice("mode", mode, MODES)
     kept = instance._kept
     if mode not in kept:
         # zip(*women_scores) yields the women's columns, one per man
@@ -87,12 +81,8 @@ def _strengths(instance: QuantInstance, mode: str) -> ScoredProfile:
 def has_ties(profile: WeakProfile) -> bool:
     """True if any list holds two candidates at the same value. Uniqueness
     claims about highest-strength marriages are conditioned on this."""
-    for side in (profile.men_values, profile.women_values):
-        for row in side:
-            for (_, a), (_, b) in zip(row, row[1:]):
-                if a == b:
-                    return True
-    return False
+    return any(a == b for row in (*profile.men_values, *profile.women_values)
+               for (_, a), (_, b) in zip(row, row[1:]))
 
 
 def link_stable_gs(instance: QuantInstance, mode: str) -> Marriage:

@@ -7,18 +7,20 @@ that would then block, so such a partner is never tried, and a branch is
 cut as soon as some man has no pair left. Every mask is built before the
 search, in O(n^2), by four prefix-OR walks down the kept rankings of both
 sides, and the last two men's pairs are memoized per state of their fields.
-Every member is certified by `is_stable`, so a fault in the cut could only
-drop members. Members are match tuples in the search, in its kept results
-and in a :class:`StableSet`'s columns. A :class:`Marriage` is built, without
-the permutation check the search meets by construction, only where one is
-asked for: a throwaway one per certification and per dominance test, one per
-skyline member, and those that a set's records or a query return. The
-weak-stability filter scans every permutation. Both are exponential in the
-worst case, so the module refuses instances above a configurable size bound
-instead of silently sampling; it refuses empty ones too. It exists to
-certify the solvers: exact stable sets per notion, dominance-free subsets,
-lexicographic optima, highest-strength marriages, and the weak-stability
-dual filters used to cross-check set equalities.
+Members are match tuples in the search, in its kept results and in a
+:class:`StableSet`'s columns. A :class:`Marriage` is built, without the
+permutation check the search meets by construction, only where one is asked
+for: a throwaway one per certification by `is_stable` and per dominance test,
+one per skyline member, and those that a set's records or a query return.
+Certification catches a member with a blocking pair, but neither a dropped
+member nor one that places a woman twice: `is_stable` tests only a
+marriage's length, so the tests compare the search with a scan of every
+permutation. The weak-stability filter scans every permutation. Both are
+exponential in the worst case, so the module refuses instances above a
+configurable size bound instead of silently sampling; it refuses empty ones
+too. It exists to certify the solvers: exact stable sets per notion,
+dominance-free subsets, lexicographic optima, highest-strength marriages,
+and the weak-stability dual filters used to cross-check set equalities.
 
 Each instance keeps its last search per value table and gap, so
 `enumerate_stable`, `lex_optimum`, `highest_link` and `feasible_partners`
@@ -32,9 +34,9 @@ from functools import reduce
 from operator import and_, getitem
 
 from .alpha import SemiorderProfile, TotalOrder
-from .instances import (Marriage, QuantInstance, ScoredProfile, WeakProfile, _check_orders,
-                        _Record, _trusted)
-from .link import _check_mode, _totals, marriage_link
+from .instances import (Marriage, QuantInstance, ScoredProfile, WeakProfile, _check_choice,
+                        _check_permutes, _Record, _trusted)
+from .link import MODES, _totals, marriage_link
 from .stability import _check_notion, _lex_key, _table, dominates, is_stable
 
 DEFAULT_SIZE_BOUND = 8
@@ -46,6 +48,9 @@ class SizeBoundError(ValueError):
 
 
 class StableEntry(_Record):
+    """One member of a :class:`StableSet`, flagged and with both link totals;
+    built by the oracle, so the constructor checks nothing."""
+
     __slots__ = _fields = ("marriage", "undominated", "link_add", "link_max")
 
     def __init__(self, marriage: Marriage, undominated: bool, link_add: int, link_max: int):
@@ -65,7 +70,8 @@ class StableSet(_Record):
     StableEntry and Marriage records on first read and keeps them, and
     :meth:`marriages` builds Marriage records per call. ``==``, ``hash``,
     ``repr`` and pickling read `entries`; a set built from entries keeps
-    them and derives its columns."""
+    them and derives its columns. Built by :func:`enumerate_stable`, so the
+    constructor checks nothing."""
 
     _fields = ("notion", "alpha", "entries")
     __slots__ = ("notion", "alpha", "_matches", "_flags", "_adds", "_maxes", "_skyline", "_entries")
@@ -104,9 +110,7 @@ def _check_bound(n: int, size_bound: int) -> None:
     if n < 1:
         raise ValueError(f"instance size {n}: the oracle needs at least one man and one woman")
     if n > size_bound:
-        raise SizeBoundError(
-            f"instance size {n} exceeds the enumeration bound {size_bound}"
-        )
+        raise SizeBoundError(f"instance size {n} exceeds the enumeration bound {size_bound}")
 
 
 def _reach(rows, ranking, items, g: int) -> list[list[int]]:
@@ -178,8 +182,8 @@ def _scan(
     n - 2 is placed, the last man's field holds at most one bit, so a
     nonzero field is his cut test. Every member, memo hit or not, is
     certified by `is_stable`, on a throwaway :class:`Marriage` that skips its
-    check (:func:`_trusted`), so a fault in the cut could only drop members;
-    `is_stable` does not repeat the check: the search places every woman once.
+    check (:func:`_trusted`), since the search places every woman once; the
+    module docstring says what that certification does not catch.
     """
     profile, g = _table(instance, notion, alpha)
     allowed = _masks(profile, g)
@@ -340,7 +344,7 @@ def lex_optimum(
     popularity orders. Unique because the lexicographic comparison is a
     strict total order and the stable set is never empty. Raises ValueError
     unless both orders permute 0..n-1."""
-    _check_orders(instance.n, men_order, women_order)
+    _check_permutes(instance.n, men_order, women_order)
     stable = _stable_marriages(instance, "alpha", alpha, size_bound)
     rank = {w: r for r, w in enumerate(women_order)}
     return _marriage(min(stable, key=lambda match: _lex_key(match, men_order, rank)))
@@ -353,7 +357,7 @@ def highest_link(
     size_bound: int = DEFAULT_SIZE_BOUND,
 ) -> list[Marriage]:
     """Link-stable marriages attaining the maximal aggregate strength."""
-    _check_mode(mode)
+    _check_choice("mode", mode, MODES)
     stable = _stable_marriages(instance, f"link-{mode}", None, size_bound)
     strengths = [marriage_link(instance, _marriage(match), mode) for match in stable]
     best = max(strengths)
@@ -389,7 +393,7 @@ def weakly_stable_set(
     """
     _check_bound(profile.n, size_bound)
     if isinstance(profile, SemiorderProfile):
-        prefers = profile.strictly_prefers
+        prefers = profile._prefers
     else:
         values = {"men": list(map(dict, profile.men_values)),
                   "women": list(map(dict, profile.women_values))}

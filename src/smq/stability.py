@@ -15,12 +15,15 @@ found, and reads a witness for each pair it reports from the table.
 from __future__ import annotations
 
 from . import link
-from .instances import Marriage, QuantInstance, ScoredProfile, _check_orders, _partners, _Record
+from .instances import Marriage, QuantInstance, ScoredProfile, _check_permutes, _partners, _Record
 
 NOTIONS = ("classical", "alpha", "link-add", "link-max")
 
 
 class BlockingPair(_Record):
+    """One pair that blocks a marriage, with the values that witness it.
+    Built by :func:`blocking_pairs`, so the constructor checks nothing."""
+
     __slots__ = _fields = ("man", "woman", "witness")
 
     def __init__(self, man: int, woman: int, witness: dict[str, int]):
@@ -31,7 +34,8 @@ class BlockingPair(_Record):
 
 class BlockingReport(_Record):
     """Pairs that violate one stability notion for one marriage; empty pairs
-    means the marriage is stable under that notion."""
+    means the marriage is stable under that notion. Built by
+    :func:`blocking_pairs`, so the constructor checks nothing."""
 
     __slots__ = _fields = ("notion", "alpha", "pairs")
 
@@ -45,13 +49,8 @@ class BlockingReport(_Record):
         return not self.pairs
 
     def to_json(self) -> dict:
-        return {
-            "notion": self.notion,
-            "alpha": self.alpha,
-            "pairs": [
-                {"m": p.man, "w": p.woman, "witness": dict(p.witness)} for p in self.pairs
-            ],
-        }
+        return {"notion": self.notion, "alpha": self.alpha, "pairs": [
+            {"m": p.man, "w": p.woman, "witness": dict(p.witness)} for p in self.pairs]}
 
 
 def _check_notion(notion: str, alpha: int | None) -> None:
@@ -186,7 +185,7 @@ def lex_key(marriage: Marriage, men_order, women_order) -> tuple[int, ...]:
     women_order rank of each man's partner, men scanned in men_order.
     Smaller keys are better (rank 0 is the most popular woman). Raises
     ValueError unless both orders permute the marriage's indices."""
-    _check_orders(len(marriage.partner_of_man), men_order, women_order)
+    _check_permutes(len(marriage.partner_of_man), men_order, women_order)
     return _lex_key(marriage.partner_of_man, men_order, {w: r for r, w in enumerate(women_order)})
 
 

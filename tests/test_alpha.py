@@ -44,6 +44,20 @@ def test_huge_threshold_makes_everything_incomparable():
             assert semi.incomparable_pairs(side, person) == [(0, 1)]
 
 
+@pytest.mark.parametrize("args, name", [
+    (("menn", 0, 0, 1), "side"), ((None, 0, 0, 1), "side"),
+    (("men", 2, 0, 1), "person"), (("women", -1, 0, 1), "person"), (("men", 1.0, 0, 1), "person"),
+    (("men", 0, 2, 1), "a"), (("men", 0, True, 1), "a"), (("women", 1, 0, -1), "b"),
+])
+def test_the_relation_refuses_an_unknown_side_or_index(args, name):
+    semi = smq.alpha_transform(P_B, 2)
+    with pytest.raises(ValueError, match=f"^{name} "):
+        semi.strictly_prefers(*args)
+    if name in ("side", "person"):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            semi.incomparable_pairs(*args[:2])
+
+
 @pytest.mark.parametrize("bad", [0, -1, -3, None, 1.5, True])
 def test_threshold_must_be_positive_integer(bad):
     # the profile refuses it when built, so `linearize` and

@@ -1,8 +1,9 @@
 """The package depends on nothing outside the standard library, starts
 without the heavy parts of it, keeps no memo in a module-level cache, reads
 its kept results only through their accessors, builds records without their
-checks in one helper only, every public name has a reader outside the
-tests, and every docstring cross-reference names what exists."""
+checks in one helper only, states the permutation rule in one predicate,
+every public name has a reader outside the tests, and every docstring
+cross-reference names what exists."""
 
 import ast
 import os
@@ -82,6 +83,22 @@ def test_only_the_trusted_builder_skips_a_records_checks():
                 continue
             stray += [f"{path.name}:{node.lineno}" for node in ast.walk(scope)
                       if isinstance(node, ast.Attribute) and node.attr == "__new__"]
+    assert not stray, stray
+
+
+# The one predicate that tells a permutation of 0..n-1; every other check of
+# a marriage, a strict list, an order or a weak list's candidates calls it.
+PERMUTATION_RULE = {("instances.py", "_permutes")}
+
+
+def test_only_the_permutation_predicate_tests_for_a_superset():
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        for scope in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (path.name, getattr(scope, "name", None)) in PERMUTATION_RULE:
+                continue
+            stray += [f"{path.name}:{node.lineno}" for node in ast.walk(scope)
+                      if isinstance(node, ast.Attribute) and node.attr == "issuperset"]
     assert not stray, stray
 
 

@@ -45,10 +45,11 @@ def test_single_couple():
 
 
 def test_bad_side_rejected():
+    message = "^proposing_side must be 'men' or 'women', got 'either'$"
     for profile in (smq.derive_classical(P_A), scored(P_A)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             smq.gs(profile, "either")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             smq.step_trace(profile, "either")
 
 

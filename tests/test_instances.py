@@ -216,21 +216,21 @@ def test_parse_rejects_missing_key():
 
 
 def test_marriage_helpers():
-    marriage = smq.make_marriage([1, 0, 2])
+    marriage = smq.Marriage((1, 0, 2))
     assert marriage.inverse() == (1, 0, 2)
+    assert smq.Marriage((2, 0, 1)).inverse() == (1, 2, 0)
     assert marriage.pairs() == [(0, 1), (1, 0), (2, 2)]
     assert smq.serialize_marriage(marriage) == '{"match":[1,0,2]}'
-    with pytest.raises(ValueError, match="not a permutation"):
-        smq.make_marriage([0, 0])
-    with pytest.raises(ValueError, match="not a permutation"):
-        smq.make_marriage([1, 2])
-    with pytest.raises(ValueError, match="not a non-empty list"):
-        smq.make_marriage([])
-    # equal to indices, but not indices
-    with pytest.raises(ValueError):
-        smq.make_marriage([True, False])
-    with pytest.raises(ValueError):
-        smq.make_marriage([1.0, 0.0])
+    # the empty matching permutes 0..-1, but no instance has its size
+    with pytest.raises(ValueError, match="size 0"):
+        smq.is_stable(smq.random_instance(1, 0), smq.Marriage(()), "classical")
+
+
+# a float or bool equal to an index is not an index
+@pytest.mark.parametrize("match", [(True, False), (1.0, 0.0), (1.0, 0), (0, 0), (1, 2)])
+def test_a_marriage_holds_each_index_once_as_an_exact_int(match):
+    with pytest.raises(ValueError, match=r"is not a permutation of 0\.\.1$"):
+        smq.Marriage(match)
 
 
 def test_random_instance_is_valid_and_deterministic():
