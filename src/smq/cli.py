@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .alpha import alpha_transform, lex_male_alpha_gs
@@ -61,6 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.set_defaults(func=_cmd_solve)
 
     check = sub.add_parser("check", help="audit a marriage for blocking pairs")
+    # argparse reads an argument that opens with "-" as a flag unless it is a
+    # plain negative number; a --marriage value such as -1,0 is a value too
+    check._negative_number_matcher = re.compile(r"-\d")
     check.add_argument("--notion", required=True, choices=NOTIONS)
     check.add_argument("--alpha", type=int)
     check.add_argument("--marriage", required=True,

@@ -8,14 +8,14 @@ cut as soon as some man has no pair left. Every mask is built before the
 search, in O(n^2), by four prefix-OR walks down the kept rankings of both
 sides, and the last two men's pairs are memoized per state of their fields.
 Members are match tuples in the search, in its kept results and in a
-:class:`StableSet`'s columns. A :class:`Marriage` is built, without the
-permutation check the search meets by construction, only where one is asked
-for: a throwaway one per certification by `is_stable` and per dominance test,
-one per skyline member, and those that a set's records or a query return.
-Certification catches a member with a blocking pair, but neither a dropped
-member nor one that places a woman twice: `is_stable` tests only a
-marriage's length, so the tests compare the search with a scan of every
-permutation. The weak-stability filter scans every permutation. Both are
+:class:`StableSet`'s four columns, and no record is kept. A :class:`Marriage`
+is built, without the permutation check the search meets by construction,
+only where one is returned or where `is_stable`, `dominates` or
+`marriage_link` reads it. Certification catches a member with a blocking
+pair, but neither a dropped member nor one that places a woman twice:
+`is_stable` tests only a marriage's length, so the tests compare the search
+with a scan of every permutation. The weak-stability filter scans every
+permutation as a tuple and builds a record for each member only. Both are
 exponential in the worst case, so the module refuses instances above a
 configurable size bound instead of silently sampling; it refuses empty ones
 too. It exists to certify the solvers: exact stable sets per notion,
@@ -35,7 +35,7 @@ from operator import and_, getitem
 
 from .alpha import SemiorderProfile, TotalOrder
 from .instances import (Marriage, QuantInstance, ScoredProfile, WeakProfile, _check_choice,
-                        _check_permutes, _Record, _trusted)
+                        _check_permutes, _inverse, _Record, _trusted)
 from .link import MODES, _totals, marriage_link
 from .stability import _check_notion, _lex_key, _table, dominates, is_stable
 
@@ -64,32 +64,27 @@ class StableSet(_Record):
     """All marriages stable under one notion, in lexicographic match order,
     annotated with dominance flags and both aggregate link strengths.
 
-    It keeps columns: the match tuples, the flags, the two totals and the
-    undominated members' :class:`Marriage` records, which ``len``,
-    :meth:`to_json` and :func:`undominated` read. `entries` builds its
-    StableEntry and Marriage records on first read and keeps them, and
-    :meth:`marriages` builds Marriage records per call. ``==``, ``hash``,
-    ``repr`` and pickling read `entries`; a set built from entries keeps
-    them and derives its columns. Built by :func:`enumerate_stable`, so the
-    constructor checks nothing."""
+    It keeps four columns and no record: the match tuples, the flags and
+    the two totals, which ``len`` and :meth:`to_json` read. `entries` builds
+    its StableEntry and Marriage records on each read, :meth:`marriages`
+    and :func:`undominated` build Marriage records per call. ``==``,
+    ``hash``, ``repr`` and pickling read `entries`; a set built from
+    entries derives the four columns from them. Built by
+    :func:`enumerate_stable`, so the constructor checks nothing."""
 
     _fields = ("notion", "alpha", "entries")
-    __slots__ = ("notion", "alpha", "_matches", "_flags", "_adds", "_maxes", "_skyline", "_entries")
+    __slots__ = ("notion", "alpha", "_matches", "_flags", "_adds", "_maxes")
 
     def __init__(self, notion: str, alpha: int | None, entries: tuple[StableEntry, ...]):
         marriages, flags, adds, maxes = ([getattr(e, name) for e in entries]
                                          for name in StableEntry._fields)
-        values = (notion, alpha, [m.partner_of_man for m in marriages], flags, adds, maxes,
-                  list(itertools.compress(marriages, flags)), entries)
+        values = (notion, alpha, [m.partner_of_man for m in marriages], flags, adds, maxes)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     @property
     def entries(self) -> tuple[StableEntry, ...]:
-        if self._entries is None:
-            object.__setattr__(self, "_entries", tuple(map(
-                StableEntry, self.marriages(), self._flags, self._adds, self._maxes)))
-        return self._entries
+        return tuple(map(StableEntry, self.marriages(), self._flags, self._adds, self._maxes))
 
     def marriages(self) -> list[Marriage]:
         return list(map(_marriage, self._matches))
@@ -294,8 +289,8 @@ def enumerate_stable(
     decides on its first rival, since a dominated x is dominated by every
     rival (one that gave every man x's score would share x's dominator, and
     no skyline member is dominated). The link totals are read from the kept
-    strength tables. Flags and totals are computed here, and the set keeps
-    them as columns beside the match tuples, with the skyline's records.
+    strength tables. The set keeps flags and totals as columns beside the
+    match tuples; the skyline's records, which `dominates` reads, are not kept.
 
     Raises SizeBoundError when n exceeds size_bound (default 8), and
     ValueError when n < 1, as every query of this module does.
@@ -304,17 +299,17 @@ def enumerate_stable(
     men, ranking = instance.men_scores, instance._ranking("men")
     sums = [sum(map(getitem, men, match)) for match in matches]
     flags = [False] * len(matches)
-    skyline: list[tuple[int, Marriage]] = []  # (place in the set, record), in visiting order
+    skyline: list[Marriage] = []  # the undominated members' records, in visiting order
     covers = [[0] * instance.n for _ in men]
     for i in sorted(range(len(matches)), key=sums.__getitem__, reverse=True):
         match = matches[i]
         rivals = reduce(and_, map(getitem, covers, match))
-        if rivals and dominates(instance, skyline[(rivals & -rivals).bit_length() - 1][1],
+        if rivals and dominates(instance, skyline[(rivals & -rivals).bit_length() - 1],
                                 _marriage(match)):
             continue
         flags[i] = True
         bit = 1 << len(skyline)
-        skyline.append((i, _marriage(match)))
+        skyline.append(_marriage(match))
         for row, order, cover, w in zip(men, ranking, covers, match):
             # the women this man scores at most as high as w: a suffix of his ranking
             bar = row[w]
@@ -323,13 +318,12 @@ def enumerate_stable(
                     break
                 cover[v] |= bit
     return _stable_set(notion, alpha, matches, flags, _totals(instance, matches, "add"),
-                       _totals(instance, matches, "max"),
-                       [m for _, m in sorted(skyline)], None)
+                       _totals(instance, matches, "max"))
 
 
 def undominated(instance: QuantInstance, stable_set: StableSet) -> list[Marriage]:
     """Members of the set dominated by no other member."""
-    return list(stable_set._skyline)
+    return list(map(_marriage, itertools.compress(stable_set._matches, stable_set._flags)))
 
 
 def lex_optimum(
@@ -401,9 +395,8 @@ def weakly_stable_set(
     n = profile.n
     out = []
     for perm in itertools.permutations(range(n)):
-        marriage = _marriage(perm)
-        inverse = marriage.inverse()
+        inverse = _inverse(perm)
         if not any(w != perm[m] and prefers("men", m, w, perm[m])
                    and prefers("women", w, m, inverse[w]) for m in range(n) for w in range(n)):
-            out.append(marriage)
+            out.append(_marriage(perm))
     return out

@@ -139,11 +139,13 @@ def test_pretty_tables_and_the_alpha_refusal_keep_their_bytes(files, capsys, arg
 
 
 def test_check_malformed_marriage_exits_four(files, capsys):
-    for bad in ("0,0", "0", "0,1,2", "a,b"):
-        code, _, err = run(capsys, "check", "--notion", "classical",
-                           "--marriage", bad, "-i", files["P_B"])
+    base = ("check", "--notion", "classical", "-i", files["P_B"])
+    # a value that opens with "-" and a digit is a value, with or without "="
+    for bad in ("0,0", "0", "0,1,2", "a,b", "-1,0"):
+        code, out, err = run(capsys, *base, "--marriage", bad)
         assert code == 4, bad
         assert "--marriage" in err
+        assert run(capsys, *base, f"--marriage={bad}") == (code, out, err)
 
 
 def test_invalid_instance_exits_one(files, capsys):
@@ -188,6 +190,9 @@ def test_usage_errors_exit_two(files, capsys):
     assert run(capsys, "solve", "--notion", "bogus", "-i", files["P_A"])[0] == 2
     assert run(capsys, "solve", "-i", files["P_A"])[0] == 2
     assert run(capsys)[0] == 2
+    code, _, err = run(capsys, "check", "--notion", "classical", "--marriage", "--pretty",
+                       "-i", files["P_B"])
+    assert code == 2 and "--marriage: expected one argument" in err
     # the voting rule is a library parameter only
     assert run(capsys, "solve", "--notion", "lex-alpha", "--alpha", "2", "--rule", "score-sum",
                "-i", files["P_B"])[0] == 2

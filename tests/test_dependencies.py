@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import smq
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,49 +58,32 @@ def test_src_imports_only_the_standard_library_and_smq():
 # results; every other reader goes through them.
 KEPT_READERS = {("link.py", "_strengths"), ("oracle.py", "_stable_marriages")}
 
-
-def test_only_the_accessors_read_the_kept_results():
-    stray = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "instances.py":
-            continue
-        for scope in ast.parse(path.read_text(encoding="utf-8")).body:
-            if (path.name, getattr(scope, "name", None)) in KEPT_READERS:
-                continue
-            stray += [f"{path.name}:{node.lineno}" for node in ast.walk(scope)
-                      if isinstance(node, ast.Attribute) and node.attr == "_kept"]
-    assert not stray, stray
-
-
 # The one function that builds a record without the checks of its __init__;
 # every other builder of a record calls the record or this function.
 TRUSTED_BUILDERS = {("instances.py", "_trusted")}
-
-
-def test_only_the_trusted_builder_skips_a_records_checks():
-    stray = []
-    for path in sorted(SRC.glob("*.py")):
-        for scope in ast.parse(path.read_text(encoding="utf-8")).body:
-            if (path.name, getattr(scope, "name", None)) in TRUSTED_BUILDERS:
-                continue
-            stray += [f"{path.name}:{node.lineno}" for node in ast.walk(scope)
-                      if isinstance(node, ast.Attribute) and node.attr == "__new__"]
-    assert not stray, stray
-
 
 # The one predicate that tells a permutation of 0..n-1; every other check of
 # a marriage, a strict list, an order or a weak list's candidates calls it.
 PERMUTATION_RULE = {("instances.py", "_permutes")}
 
 
-def test_only_the_permutation_predicate_tests_for_a_superset():
+# Each attribute with the top-level scopes, (file, name), that alone may
+# use it, and the file exempt from the rule as its owner, if any.
+@pytest.mark.parametrize("attribute, scopes, owner", [
+    ("_kept", KEPT_READERS, "instances.py"),
+    ("__new__", TRUSTED_BUILDERS, None),
+    ("issuperset", PERMUTATION_RULE, None),
+], ids=["kept-results", "trusted-builder", "permutation-rule"])
+def test_only_the_named_scopes_use_the_attribute(attribute, scopes, owner):
     stray = []
     for path in sorted(SRC.glob("*.py")):
+        if path.name == owner:
+            continue
         for scope in ast.parse(path.read_text(encoding="utf-8")).body:
-            if (path.name, getattr(scope, "name", None)) in PERMUTATION_RULE:
+            if (path.name, getattr(scope, "name", None)) in scopes:
                 continue
             stray += [f"{path.name}:{node.lineno}" for node in ast.walk(scope)
-                      if isinstance(node, ast.Attribute) and node.attr == "issuperset"]
+                      if isinstance(node, ast.Attribute) and node.attr == attribute]
     assert not stray, stray
 
 

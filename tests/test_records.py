@@ -103,6 +103,12 @@ def test_records_compare_by_class_and_fields():
     assert pickle.loads(pickle.dumps(marriages)) == marriages
 
 
+def test_a_stable_set_rebuilt_from_a_list_of_its_entries_is_the_same_set():
+    stable = smq.enumerate_stable(P_B, "alpha", 2)
+    rebuilt = smq.StableSet(stable.notion, stable.alpha, list(stable.entries))
+    assert rebuilt == stable and repr(rebuilt) == repr(stable)
+
+
 def test_kept_results_stay_out_of_the_record():
     inst = smq.QuantInstance(P_B.n, P_B.men_scores, P_B.women_scores)
     empty = smq.QuantInstance(P_B.n, P_B.men_scores, P_B.women_scores)._kept
