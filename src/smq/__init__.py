@@ -53,7 +53,6 @@ from .link import (
 )
 from .oracle import (
     SizeBoundError,
-    StableEntry,
     StableSet,
     enumerate_stable,
     feasible_partners,
@@ -84,7 +83,6 @@ __all__ = [
     "ScoredProfile",
     "SemiorderProfile",
     "SizeBoundError",
-    "StableEntry",
     "StableSet",
     "StrictProfile",
     "WeakProfile",

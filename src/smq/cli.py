@@ -169,7 +169,7 @@ def _parse_marriage(text: str, n: int) -> Marriage:
 
 def _cmd_solve(args) -> int:
     instance = _load_instance(args.instance)
-    alpha = _require_alpha(args, args.notion == "lex-alpha", "--notion lex-alpha")
+    alpha = _require_alpha(args, args.notion == "lex-alpha", f"--notion {args.notion}")
     if args.notion in ("male", "female"):
         side = "men" if args.notion == "male" else "women"
         marriage = gs(instance, side)
@@ -200,7 +200,7 @@ def _witness_line(notion: str, pair) -> str:
 
 def _cmd_check(args) -> int:
     instance = _load_instance(args.instance)
-    alpha = _require_alpha(args, args.notion == "alpha", "--notion alpha")
+    alpha = _require_alpha(args, args.notion == "alpha", f"--notion {args.notion}")
     marriage = _parse_marriage(args.marriage, instance.n)
     report: BlockingReport = blocking_pairs(instance, marriage, args.notion, alpha)
     print(json.dumps(report.to_json(), separators=(",", ":")))
@@ -216,7 +216,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     instance = _load_instance(args.instance)
-    alpha = _require_alpha(args, args.notion == "alpha", "--notion alpha")
+    alpha = _require_alpha(args, args.notion == "alpha", f"--notion {args.notion}")
     if args.jobs < 1:
         raise _Fail(USAGE, "--jobs must be >= 1")
     if args.size_bound < 1:
@@ -229,11 +229,11 @@ def _cmd_enumerate(args) -> int:
     print(json.dumps(stable.to_json(), separators=(",", ":")))
     if args.pretty:
         print(f"{len(stable)} stable marriage(s) under {args.notion}:")
-        for entry in stable.entries:
-            tag = "undominated" if entry.undominated else "dominated"
-            pairs = ", ".join(f"{man_name(m)}-{woman_name(w)}"
-                              for m, w in entry.marriage.pairs())
-            print(f"  [{pairs}] {tag}, link add={entry.link_add} max={entry.link_max}")
+        for match, flag, add, top in zip(stable.matches, stable.undominated,
+                                         stable.link_add, stable.link_max):
+            tag = "undominated" if flag else "dominated"
+            pairs = ", ".join(f"{man_name(m)}-{woman_name(w)}" for m, w in enumerate(match))
+            print(f"  [{pairs}] {tag}, link add={add} max={top}")
     return OK
 
 

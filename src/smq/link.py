@@ -35,13 +35,13 @@ def marriage_link(instance: QuantInstance, marriage: Marriage, mode: str) -> int
     return _totals(instance, [_partners(instance, marriage)], mode)[0]
 
 
-def _totals(instance: QuantInstance, matches, mode: str) -> list[int]:
+def _totals(instance: QuantInstance, matches, mode: str) -> tuple[int, ...]:
     """The aggregate strength of each match, read from the strength rows
     that :func:`_strengths` keeps for the mode: their sum for 'add', their
     maximum for 'max'."""
     values = _strengths(instance, mode).men_scores
     aggregate = sum if mode == "add" else max
-    return [aggregate(map(list.__getitem__, values, match)) for match in matches]
+    return tuple([aggregate(map(list.__getitem__, values, match)) for match in matches])
 
 
 def link_transform(instance: QuantInstance, mode: str) -> WeakProfile:

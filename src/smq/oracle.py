@@ -8,7 +8,7 @@ cut as soon as some man has no pair left. Every mask is built before the
 search, in O(n^2), by four prefix-OR walks down the kept rankings of both
 sides, and the last two men's pairs are memoized per state of their fields.
 Members are match tuples in the search, in its kept results and in a
-:class:`StableSet`'s four columns, and no record is kept. A :class:`Marriage`
+:class:`StableSet`'s `matches` field, and no record is kept. A :class:`Marriage`
 is built, without the permutation check the search meets by construction,
 only where one is returned or where `is_stable`, `dominates` or
 `marriage_link` reads it. Certification catches a member with a blocking
@@ -47,58 +47,37 @@ class SizeBoundError(ValueError):
     """Instance too large for exhaustive enumeration."""
 
 
-class StableEntry(_Record):
-    """One member of a :class:`StableSet`, flagged and with both link totals;
-    built by the oracle, so the constructor checks nothing."""
-
-    __slots__ = _fields = ("marriage", "undominated", "link_add", "link_max")
-
-    def __init__(self, marriage: Marriage, undominated: bool, link_add: int, link_max: int):
-        object.__setattr__(self, "marriage", marriage)
-        object.__setattr__(self, "undominated", undominated)
-        object.__setattr__(self, "link_add", link_add)
-        object.__setattr__(self, "link_max", link_max)
-
-
 class StableSet(_Record):
     """All marriages stable under one notion, in lexicographic match order,
     annotated with dominance flags and both aggregate link strengths.
 
-    It keeps four columns and no record: the match tuples, the flags and
-    the two totals, which ``len`` and :meth:`to_json` read. `entries` builds
-    its StableEntry and Marriage records on each read, :meth:`marriages`
-    and :func:`undominated` build Marriage records per call. ``==``,
-    ``hash``, ``repr`` and pickling read `entries`; a set built from
-    entries derives the four columns from them. Built by
-    :func:`enumerate_stable`, so the constructor checks nothing."""
+    Beside the notion and alpha, its fields are four columns of tuples, one
+    item per member: the match tuples, the undominated flags and the `add`
+    and `max` link totals; :meth:`to_json` lists them per member. It keeps
+    no record: :meth:`marriages` and :func:`undominated` build Marriage
+    records per call. Built by :func:`enumerate_stable`, so the
+    constructor checks nothing."""
 
-    _fields = ("notion", "alpha", "entries")
-    __slots__ = ("notion", "alpha", "_matches", "_flags", "_adds", "_maxes")
+    __slots__ = _fields = ("notion", "alpha", "matches", "undominated", "link_add", "link_max")
 
-    def __init__(self, notion: str, alpha: int | None, entries: tuple[StableEntry, ...]):
-        marriages, flags, adds, maxes = ([getattr(e, name) for e in entries]
-                                         for name in StableEntry._fields)
-        values = (notion, alpha, [m.partner_of_man for m in marriages], flags, adds, maxes)
-        for name, value in zip(self.__slots__, values):
+    def __init__(self, notion: str, alpha: int | None, matches: tuple[tuple[int, ...], ...],
+                 undominated: tuple[bool, ...], link_add: tuple[int, ...],
+                 link_max: tuple[int, ...]):
+        values = notion, alpha, matches, undominated, link_add, link_max
+        for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
-    @property
-    def entries(self) -> tuple[StableEntry, ...]:
-        return tuple(map(StableEntry, self.marriages(), self._flags, self._adds, self._maxes))
-
     def marriages(self) -> list[Marriage]:
-        return list(map(_marriage, self._matches))
+        return list(map(_marriage, self.matches))
 
     def __len__(self) -> int:
-        return len(self._matches)
+        return len(self.matches)
 
     def to_json(self) -> dict:
+        columns = zip(self.matches, self.undominated, self.link_add, self.link_max)
         return {"notion": self.notion, "alpha": self.alpha, "marriages": [
             {"match": list(match), "undominated": flag, "link_add": add, "link_max": top}
-            for match, flag, add, top in zip(self._matches, self._flags, self._adds, self._maxes)]}
-
-
-_stable_set = _trusted(StableSet)
+            for match, flag, add, top in columns]}
 
 
 def _check_bound(n: int, size_bound: int) -> None:
@@ -289,8 +268,8 @@ def enumerate_stable(
     decides on its first rival, since a dominated x is dominated by every
     rival (one that gave every man x's score would share x's dominator, and
     no skyline member is dominated). The link totals are read from the kept
-    strength tables. The set keeps flags and totals as columns beside the
-    match tuples; the skyline's records, which `dominates` reads, are not kept.
+    strength tables. The set's fields hold the match tuples, flags and
+    totals as tuples; the skyline's records, which `dominates` reads, are not kept.
 
     Raises SizeBoundError when n exceeds size_bound (default 8), and
     ValueError when n < 1, as every query of this module does.
@@ -317,13 +296,13 @@ def enumerate_stable(
                 if row[v] > bar:
                     break
                 cover[v] |= bit
-    return _stable_set(notion, alpha, matches, flags, _totals(instance, matches, "add"),
-                       _totals(instance, matches, "max"))
+    return StableSet(notion, alpha, matches, tuple(flags), _totals(instance, matches, "add"),
+                     _totals(instance, matches, "max"))
 
 
 def undominated(instance: QuantInstance, stable_set: StableSet) -> list[Marriage]:
     """Members of the set dominated by no other member."""
-    return list(map(_marriage, itertools.compress(stable_set._matches, stable_set._flags)))
+    return list(map(_marriage, itertools.compress(stable_set.matches, stable_set.undominated)))
 
 
 def lex_optimum(

@@ -154,18 +154,17 @@ def reference_enumerate_stable(instance, notion, alpha=None):
         for match in itertools.permutations(range(instance.n))
         if smq.is_stable(instance, smq.Marriage(match), notion, alpha)
     ]
-    entries = tuple(
-        smq.StableEntry(
-            marriage=m,
-            undominated=not any(
-                smq.dominates(instance, other, m) for other in stable if other != m
-            ),
-            link_add=smq.marriage_link(instance, m, "add"),
-            link_max=smq.marriage_link(instance, m, "max"),
-        )
-        for m in stable
+    return smq.StableSet(
+        notion,
+        alpha,
+        matches=tuple(m.partner_of_man for m in stable),
+        undominated=tuple(
+            not any(smq.dominates(instance, other, m) for other in stable if other != m)
+            for m in stable
+        ),
+        link_add=tuple(smq.marriage_link(instance, m, "add") for m in stable),
+        link_max=tuple(smq.marriage_link(instance, m, "max") for m in stable),
     )
-    return smq.StableSet(notion, alpha, entries)
 
 
 def reference_skyline(instance, marriages):

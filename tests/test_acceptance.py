@@ -290,4 +290,4 @@ def test_a10_determinism_and_performance(capsys):
         start = time.perf_counter()
         stable = smq.enumerate_stable(inst, "classical")
         assert time.perf_counter() - start < 10.0
-        assert stable.entries
+        assert stable.matches

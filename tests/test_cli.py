@@ -18,7 +18,9 @@ from conftest import P_A, P_B, P_C, instances, tie_heavy_instances
 @pytest.fixture
 def files(tmp_path):
     paths = {}
-    for name, inst in (("P_A", P_A), ("P_B", P_B), ("P_C", P_C)):
+    # G3 is `smq gen --n 3 --seed 2 --max-score 6`: its classical set has a dominated member
+    g3 = smq.random_instance(3, seed=2, max_score=6)
+    for name, inst in (("P_A", P_A), ("P_B", P_B), ("P_C", P_C), ("G3", g3)):
         path = tmp_path / f"{name}.json"
         path.write_text(smq.serialize_instance(inst))
         paths[name] = str(path)
@@ -132,6 +134,24 @@ def test_check_pretty_prints_witnesses(files, capsys, argv, expected):
     (["check", "--notion", "alpha", "--alpha", "2", "--marriage", "1,0", "-i", "P_B",
       "--pretty"], 0, '{"notion":"alpha","alpha":2,"pairs":[]}\nstable under alpha\n', ""),
     (["transform", "--alpha", "0", "-i", "P_B"], 2, "", "error: --alpha must be >= 1\n"),
+    (["enumerate", "--notion", "classical", "-i", "G3", "--pretty"], 0,
+     '{"notion":"classical","alpha":null,"marriages":[{"match":[1,2,0],"undominated":true,'
+     '"link_add":25,"link_max":6},{"match":[2,1,0],"undominated":false,"link_add":23,'
+     '"link_max":6}]}\n'
+     "2 stable marriage(s) under classical:\n"
+     "  [m1-w2, m2-w3, m3-w1] undominated, link add=25 max=6\n"
+     "  [m1-w3, m2-w2, m3-w1] dominated, link add=23 max=6\n", ""),
+    (["solve", "--notion", "lex-alpha", "-i", "P_B"], 2, "",
+     "error: --alpha is required with --notion lex-alpha\n"),
+    (["enumerate", "--notion", "alpha", "-i", "P_B"], 2, "",
+     "error: --alpha is required with --notion alpha\n"),
+    # a misplaced --alpha names the notion given, not the one it applies to
+    (["solve", "--notion", "male", "--alpha", "2", "-i", "P_B"], 2, "",
+     "error: --alpha does not apply to --notion male\n"),
+    (["check", "--notion", "classical", "--alpha", "2", "--marriage", "1,0", "-i", "P_B"], 2, "",
+     "error: --alpha does not apply to --notion classical\n"),
+    (["enumerate", "--notion", "link-add", "--alpha", "2", "-i", "P_B"], 2, "",
+     "error: --alpha does not apply to --notion link-add\n"),
 ])
 def test_pretty_tables_and_the_alpha_refusal_keep_their_bytes(files, capsys, argv, code,
                                                               out, err):

@@ -95,31 +95,32 @@ def test_search_and_skyline_match_exhaustive_scan(inst, alpha):
 
 
 def eager_json(stable_set):
-    """`to_json` as read off the set's records."""
+    """`to_json` as read off the set's Marriage records and its other columns."""
     return {"notion": stable_set.notion, "alpha": stable_set.alpha, "marriages": [
-        {"match": list(e.marriage.partner_of_man), "undominated": e.undominated,
-         "link_add": e.link_add, "link_max": e.link_max} for e in stable_set.entries]}
+        {"match": list(m.partner_of_man), "undominated": flag, "link_add": add, "link_max": top}
+        for m, flag, add, top in zip(stable_set.marriages(), stable_set.undominated,
+                                     stable_set.link_add, stable_set.link_max)]}
 
 
-@given(st.one_of(tie_heavy_instances(max_n=5), instances(max_n=5)), alphas, st.booleans())
+@given(st.one_of(tie_heavy_instances(max_n=5), instances(max_n=5)), alphas)
 @settings(max_examples=60)
-def test_the_columns_answer_as_eager_records_do(inst, alpha, entries_first):
+def test_the_columns_answer_as_eager_records_do(inst, alpha):
     # the set keeps columns and builds its records on request; the reference
-    # set is built from its records, as a caller of StableSet builds one
+    # set's columns come from eager `dominates` and `marriage_link` calls on
+    # its records, as a caller of StableSet builds one
     for notion in NOTIONS:
         a = alpha if notion == "alpha" else None
         expected = reference_enumerate_stable(inst, notion, a)
         doc = eager_json(expected)
         stable = smq.enumerate_stable(inst, notion, a)
-        if entries_first:
-            assert stable.entries == expected.entries, notion
         assert stable.to_json() == expected.to_json() == doc, notion
-        assert stable.entries == expected.entries, notion
-        marriages = [e.marriage for e in expected.entries]
+        for name in smq.StableSet._fields:
+            assert getattr(stable, name) == getattr(expected, name), (notion, name)
+        marriages = list(map(smq.Marriage, expected.matches))
         assert stable.marriages() == expected.marriages() == marriages, notion
-        flagged = [e.marriage for e in expected.entries if e.undominated]
+        flagged = [m for m, flag in zip(marriages, expected.undominated) if flag]
         assert smq.undominated(inst, stable) == smq.undominated(inst, expected) == flagged
-        assert len(stable) == len(expected) == len(expected.entries)
+        assert len(stable) == len(expected) == len(expected.matches)
         assert stable == expected and hash(stable) == hash(expected)
         assert repr(stable) == repr(expected)
         clone = pickle.loads(pickle.dumps(stable))
@@ -295,7 +296,7 @@ def test_indexed_skyline_matches_the_pairwise_skyline(case):
     inst, alpha = case
     for notion in NOTIONS:
         stable = smq.enumerate_stable(inst, notion, alpha if notion == "alpha" else None)
-        flags = [e.undominated for e in stable.entries]
+        flags = list(stable.undominated)
         assert flags == reference_skyline(inst, stable.marriages()), notion
 
 
@@ -374,10 +375,10 @@ def test_weak_filter_agrees_with_direct_predicate(inst, alpha):
 @given(instances(max_n=4), alphas)
 @settings(max_examples=50)
 def test_stable_sets_are_never_empty(inst, alpha):
-    assert smq.enumerate_stable(inst, "classical").entries
-    assert smq.enumerate_stable(inst, "alpha", alpha).entries
-    assert smq.enumerate_stable(inst, "link-add").entries
-    assert smq.enumerate_stable(inst, "link-max").entries
+    assert smq.enumerate_stable(inst, "classical").matches
+    assert smq.enumerate_stable(inst, "alpha", alpha).matches
+    assert smq.enumerate_stable(inst, "link-add").matches
+    assert smq.enumerate_stable(inst, "link-max").matches
 
 
 # The oracle's entry points, each reading the instance's kept search of one
