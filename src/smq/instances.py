@@ -414,12 +414,14 @@ def random_instance(n: int, seed: int, max_score: int = 100) -> QuantInstance:
     """Seeded random instance; every row draws n distinct scores from 1..max_score.
 
     Deterministic: the same (n, seed, max_score) always yields the same
-    instance. Requires max_score >= n so a row of distinct scores exists.
+    instance. Requires n <= max_score <= sys.maxsize, random.sample's limit.
     """
+    if isinstance(n, bool):
+        raise ValueError("n must be an integer, not a bool")
     if n < 1:
         raise ValueError("n must be positive")
-    if max_score < n:
-        raise ValueError(f"max_score {max_score} cannot cover {n} distinct scores")
+    if not n <= max_score <= sys.maxsize:
+        raise ValueError(f"max_score {max_score} is not in {n}..{sys.maxsize}")
     rng = random.Random(seed)
     pool = range(1, max_score + 1)
     men = tuple(tuple(rng.sample(pool, n)) for _ in range(n))

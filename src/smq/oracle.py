@@ -7,20 +7,19 @@ that would then block, so such a partner is never tried, and a branch is
 cut as soon as some man has no pair left. Every mask is built before the
 search, in O(n^2), by four prefix-OR walks down the kept rankings of both
 sides, and the last two men's pairs are memoized per state of their fields.
-Members are match tuples in the search, in its kept results and in a
-:class:`StableSet`'s `matches` field, and no record is kept. A :class:`Marriage`
-is built, without the permutation check the search meets by construction,
-only where one is returned or where `is_stable`, `dominates` or
-`marriage_link` reads it. Certification catches a member with a blocking
-pair, but neither a dropped member nor one that places a woman twice:
-`is_stable` tests only a marriage's length, so the tests compare the search
-with a scan of every permutation. The weak-stability filter scans every
-permutation as a tuple and builds a record for each member only. Both are
-exponential in the worst case, so the module refuses instances above a
-configurable size bound instead of silently sampling; it refuses empty ones
-too. It exists to certify the solvers: exact stable sets per notion,
-dominance-free subsets, lexicographic optima, highest-strength marriages,
-and the weak-stability dual filters used to cross-check set equalities.
+The search, :func:`_scan`, knows no notion; :func:`_certified` audits what
+it finds. Members are match tuples in the search, in its kept results and
+in a :class:`StableSet`'s `matches` field, and no record is kept. A
+:class:`Marriage` is built, without the permutation check the search meets
+by construction, only where one is returned or where `is_stable`,
+`dominates` or `marriage_link` reads it. The weak-stability filter scans
+every permutation as a tuple and builds a record for each member only.
+Both are exponential in the worst case, so the module refuses instances
+above a configurable size bound instead of silently sampling; it refuses
+empty ones too. It exists to certify the solvers: exact stable sets per
+notion, dominance-free subsets, lexicographic optima, highest-strength
+marriages, and the weak-stability dual filters used to cross-check set
+equalities.
 
 Each instance keeps its last search per value table and gap, so
 `enumerate_stable`, `lex_optimum`, `highest_link` and `feasible_partners`
@@ -129,12 +128,10 @@ def _masks(profile: ScoredProfile, g: int) -> list[list[int]]:
             for row, col in zip(gains, zip(*heads))]
 
 
-def _scan(
-    instance: QuantInstance, notion: str, alpha: int | None, first: int | None = None
-) -> list[tuple[int, ...]]:
-    """Stable match tuples in lexicographic order, by backtracking with forward
-    checking: men are placed in index order, each trying the free women in
-    ascending index. With `first` given, man 0 is placed with that woman only.
+def _scan(profile: ScoredProfile, g: int, first: int | None = None) -> list[tuple[int, ...]]:
+    """Stable match tuples of the table (profile, g) in lexicographic order, by
+    backtracking with forward checking: men are placed in index order, each
+    trying the free women in ascending index (man 0 only `first`, if given).
 
     The pairs still admissible are the bits of one int, bit m*n + w for the
     pair (m, w). Placing man k with woman w keeps only the pairs of the mask
@@ -154,16 +151,12 @@ def _scan(
     `domain >> (n-2)*n`, so the (w, w_last) pairs that pass the mask are
     found once per such key and kept for the rest of the scan; once man
     n - 2 is placed, the last man's field holds at most one bit, so a
-    nonzero field is his cut test. Every member, memo hit or not, is
-    certified by `is_stable`, on a throwaway :class:`Marriage` that skips its
-    check (:func:`_trusted`), since the search places every woman once; the
-    module docstring says what that certification does not catch.
+    nonzero field is his cut test; :func:`_certified` audits the members.
     """
-    profile, g = _table(instance, notion, alpha)
+    n = len(profile.men_scores)
+    if n == 1:  # no later man to cut on: the one match has no pair to block it
+        return [(0,)]
     allowed = _masks(profile, g)
-    n = instance.n
-    if n == 1:  # no memo: the one match is certified alone
-        return [(0,)] if is_stable(instance, _marriage((0,)), notion, alpha) else []
     penult = n - 2
     full = (1 << n) - 1
     every_pair = (1 << n * n) - 1
@@ -190,10 +183,7 @@ def _scan(
                     if lone:
                         pairs.append((w, lone.bit_length() - 1))
             head = tuple(match)
-            for pair in pairs:
-                member = head + pair
-                if is_stable(instance, _marriage(member), notion, alpha):
-                    out.append(member)
+            out.extend(head + pair for pair in pairs)
             return
         bits = domain >> k * n & full
         row = allowed[k]
@@ -211,11 +201,21 @@ def _scan(
     return out
 
 
+def _certified(instance: QuantInstance, notion: str, alpha: int | None,
+               first: int | None = None) -> list[tuple[int, ...]]:
+    """The members :func:`_scan` finds that `is_stable` passes on a
+    :func:`_trusted` Marriage: the oracle's one runtime check. It catches a
+    blocked member, but not a dropped one nor one that places a woman twice
+    (`is_stable` tests only a length); the tests scan every permutation."""
+    return [match for match in _scan(*_table(instance, notion, alpha), first)
+            if is_stable(instance, _marriage(match), notion, alpha)]
+
+
 def _stable_marriages(
     instance: QuantInstance, notion: str, alpha: int | None, size_bound: int, jobs: int = 1
 ) -> tuple[tuple[int, ...], ...]:
     """The stable set as match tuples in lexicographic order, with no record
-    built; with jobs > 1 each worker returns the list for one partner of man 0.
+    built; with jobs > 1 each worker certifies the part of one partner of man 0.
 
     The tuple of certified matches is kept on the instance per value table
     and gap, alpha 1 as classical: a later call for the same notion and
@@ -234,11 +234,11 @@ def _stable_marriages(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(jobs, instance.n)) as pool:
-            parts = pool.map(_scan, *map(itertools.repeat, (instance, notion, alpha)),
+            parts = pool.map(_certified, *map(itertools.repeat, (instance, notion, alpha)),
                              range(instance.n))
             stable = tuple(itertools.chain.from_iterable(parts))
     else:
-        stable = tuple(_scan(instance, notion, alpha))
+        stable = tuple(_certified(instance, notion, alpha))
     instance._kept[notion] = alpha, stable
     return stable
 

@@ -1,18 +1,20 @@
 """Blocking-pair detection for every stability notion, plus dominance and
-the lexicographic marriage order used by the popularity-guided solver.
+the lexicographic marriage order that :func:`smq.oracle.lex_optimum` minimizes.
 
 One table, :func:`_table`, states the blocking rule of all four notions:
 classical stability is the score-gap test at gap 1, and the two link
 notions are the same test at gap 1 on the pair-strength table that
-:mod:`smq.link` keeps on the instance. One private scan, :func:`_blocks`,
-runs that test for every notion, walking each man's kept ranking only as
-far as the women he prefers to his partner (so a lone audit of a fresh
-instance pays for one ranking): :func:`is_stable` stops it at the first
-blocking pair; :func:`blocking_pairs` runs it to the end, sorts what it
-found, and reads a witness for each pair it reports from the table.
+:mod:`smq.link` keeps on the instance. One private walk, :func:`_blocks`,
+yields the blocking pairs of every notion lazily, reading each man's kept
+ranking only as far as the women he prefers to his partner (so a lone
+audit of a fresh instance pays for one ranking): :func:`is_stable` takes
+its first pair, if any; :func:`blocking_pairs` sorts all it yields and
+reads a witness for each pair from the table.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from . import link
 from .instances import Marriage, QuantInstance, ScoredProfile, _check_permutes, _partners, _Record
@@ -84,10 +86,10 @@ def _audit(instance: QuantInstance, marriage: Marriage, notion: str, alpha: int 
     return *_table(instance, notion, alpha), match
 
 
-def _blocks(profile: ScoredProfile, g: int, match: tuple[int, ...],
-            first_only: bool) -> list[tuple[int, int]]:
+def _blocks(profile: ScoredProfile, g: int, match: tuple[int, ...]) -> Iterator[tuple[int, int]]:
     """The pairs (m, w) that block the marriage `match` under the table
-    (profile, g) of :func:`_table`, in ascending order, or just one of them.
+    (profile, g) of :func:`_table`, yielded lazily: men in ascending order,
+    each man's women best first.
 
     A pair blocks when its value for the man reaches a bound fixed by his
     current pairing and its value for the woman reaches a bound fixed by
@@ -96,7 +98,6 @@ def _blocks(profile: ScoredProfile, g: int, match: tuple[int, ...],
     his bound: of a stable man's row, only the women he would rather have.
     """
     U, W = profile.men_scores, profile.women_scores
-    found: list[tuple[int, int]] = []
     woman_needs = [0] * len(U)
     for m, w in enumerate(match):
         woman_needs[w] = W[w][m] + g
@@ -106,11 +107,7 @@ def _blocks(profile: ScoredProfile, g: int, match: tuple[int, ...],
             if row[w] < man_needs:
                 break
             if W[w][m] >= woman_needs[w]:
-                if first_only:
-                    return [(m, w)]
-                found.append((m, w))
-    found.sort()
-    return found
+                yield m, w
 
 
 def _witness(U, W, notion: str, m: int, w: int, w_cur: int, m_cur: int) -> dict[str, int]:
@@ -149,7 +146,7 @@ def blocking_pairs(
     inverse = marriage.inverse()
     return BlockingReport(notion, alpha, tuple(
         BlockingPair(m, w, _witness(U, W, notion, m, w, match[m], inverse[w]))
-        for m, w in _blocks(profile, g, match, False)
+        for m, w in sorted(_blocks(profile, g, match))
     ))
 
 
@@ -159,10 +156,10 @@ def is_stable(
     notion: str,
     alpha: int | None = None,
 ) -> bool:
-    """Early-exit stability check; the same scan and checks as
-    :func:`blocking_pairs`: a ValueError unless the marriage has the
-    instance's size."""
-    return not _blocks(*_audit(instance, marriage, notion, alpha), True)
+    """Early-exit stability check: the same walk and checks as
+    :func:`blocking_pairs`, stopped at its first blocking pair. A
+    ValueError unless the marriage has the instance's size."""
+    return next(_blocks(*_audit(instance, marriage, notion, alpha)), None) is None
 
 
 def dominates(instance: QuantInstance, first: Marriage, second: Marriage) -> bool:

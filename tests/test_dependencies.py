@@ -2,6 +2,7 @@
 without the heavy parts of it, keeps no memo in a module-level cache, reads
 its kept results only through their accessors, builds records without their
 checks in one helper only, states the permutation rule in one predicate,
+certifies the oracle's search in one scope that the search never calls,
 every public name has a reader outside the tests, and every docstring
 cross-reference names what exists."""
 
@@ -85,6 +86,21 @@ def test_only_the_named_scopes_use_the_attribute(attribute, scopes, owner):
             stray += [f"{path.name}:{node.lineno}" for node in ast.walk(scope)
                       if isinstance(node, ast.Attribute) and node.attr == attribute]
     assert not stray, stray
+
+
+def names_in(scope) -> set[str]:
+    return {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+
+
+def test_the_oracle_certifies_in_one_scope_and_its_search_in_none():
+    # `_scan` searches one value table and gap; `_certified` alone audits
+    # what it finds, so dropping the runtime check is one deletion there
+    body = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8")).body
+    certifiers = [getattr(scope, "name", f"line {scope.lineno}") for scope in body
+                  if "is_stable" in names_in(scope)]
+    assert certifiers == ["_certified"]
+    search = next(scope for scope in body if getattr(scope, "name", None) == "_scan")
+    assert names_in(search).isdisjoint({"is_stable", "_marriage", "_table"})
 
 
 def test_the_cli_starts_without_dataclasses_inspect_or_a_process_pool():

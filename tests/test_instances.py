@@ -249,6 +249,12 @@ def test_random_instance_needs_enough_scores():
         smq.random_instance(0, seed=0)
     with pytest.raises(ValueError):
         smq.random_instance(5, seed=0, max_score=4)
+    # True passed as n wrote {"n":true,...}, which parse_instance refuses
+    with pytest.raises(ValueError, match="not a bool"):
+        smq.random_instance(True, seed=0, max_score=10)
+    # random.sample raised OverflowError on a range longer than sys.maxsize
+    with pytest.raises(ValueError, match="is not in"):
+        smq.random_instance(2, seed=0, max_score=sys.maxsize + 1)
     tight = smq.random_instance(5, seed=0, max_score=5)
     assert all(sorted(row) == [1, 2, 3, 4, 5] for row in tight.men_scores)
 

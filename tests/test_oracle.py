@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import smq
 from smq import oracle
-from smq.oracle import DEFAULT_SIZE_BOUND, _masks, _scan, _stable_marriages
+from smq.oracle import DEFAULT_SIZE_BOUND, _certified, _masks, _scan, _stable_marriages
 from smq.stability import NOTIONS, _table, is_stable
 from conftest import M1, M2, P_A, P_B, P_C, alphas, instances, tie_heavy_instances
 from references import (
@@ -90,7 +90,7 @@ def test_search_and_skyline_match_exhaustive_scan(inst, alpha):
         expected = reference_enumerate_stable(inst, notion, a)
         assert smq.enumerate_stable(inst, notion, a).to_json() == expected.to_json()
         # the parts the workers search, one per partner of man 0, in order
-        parts = [m for first in range(inst.n) for m in _scan(inst, notion, a, first)]
+        parts = [m for first in range(inst.n) for m in _certified(inst, notion, a, first)]
         assert parts == [m.partner_of_man for m in expected.marriages()], notion
 
 
@@ -128,36 +128,36 @@ def test_the_columns_answer_as_eager_records_do(inst, alpha):
         assert smq.undominated(inst, clone) == flagged
 
 
-def exact(*args):
-    """A certification for `_scan` that accepts every complete match but
-    fails at once on a blocked one: the search then runs as uncertified, with
-    only the pair masks keeping non-members out, and a loose mask fails at
-    its first non-member instead of running through many more."""
-    assert is_stable(*args), args[1]
-    return True
+def searched(inst, notion, alpha, first=None):
+    """The members `_scan` finds in the notion's table, uncertified, each
+    asserted stable before a caller runs the reference: only the pair masks
+    keep non-members out, and a loose mask fails at its first non-member
+    instead of running through many more."""
+    members = _scan(*_table(inst, notion, alpha), first)
+    for match in members:
+        assert is_stable(inst, smq.Marriage(match), notion, alpha), (notion, first, match)
+    return members
 
 
 @given(tie_heavy_instances(min_n=6, max_n=9), alphas)
 @settings(max_examples=20)
 def test_forward_checking_matches_the_pairwise_scan(inst, alpha):
     # the whole search
-    with patch.object(oracle, "is_stable", exact):
-        for notion in NOTIONS:
-            a = alpha if notion == "alpha" else None
-            assert _scan(inst, notion, a) == reference_pruned_scan(inst, notion, a), notion
+    for notion in NOTIONS:
+        a = alpha if notion == "alpha" else None
+        assert searched(inst, notion, a) == reference_pruned_scan(inst, notion, a), notion
 
 
 @given(tie_heavy_instances(min_n=6, max_n=9), alphas)
 @settings(max_examples=15)
 def test_the_uncertified_search_matches_the_pairwise_scan(inst, alpha):
     # each part for one first woman, as its slice of the whole reference
-    with patch.object(oracle, "is_stable", exact):
-        for notion in NOTIONS:
-            a = alpha if notion == "alpha" else None
-            expected = reference_pruned_scan(inst, notion, a)
-            for first in range(inst.n):
-                part = _scan(inst, notion, a, first)
-                assert part == [m for m in expected if m[0] == first], (notion, first)
+    for notion in NOTIONS:
+        a = alpha if notion == "alpha" else None
+        parts = [searched(inst, notion, a, first) for first in range(inst.n)]
+        expected = reference_pruned_scan(inst, notion, a)
+        for first, part in enumerate(parts):
+            assert part == [m for m in expected if m[0] == first], (notion, first)
 
 
 # n = 1 has no memo, n = 2 keeps it at man 0, and n = 3 and 4 reach it
@@ -168,14 +168,14 @@ small_instances = st.one_of(tie_heavy_instances(max_n=4), instances(max_n=4, max
 @given(small_instances, alphas)
 @settings(max_examples=200)
 def test_the_last_two_men_memo_matches_the_pairwise_scan(inst, alpha):
-    with patch.object(oracle, "is_stable", exact):
-        for notion in NOTIONS:
-            a = alpha if notion == "alpha" else None
-            expected = reference_pruned_scan(inst, notion, a)
-            assert _scan(inst, notion, a) == expected, notion
-            for first in range(inst.n):
-                part = _scan(inst, notion, a, first)
-                assert part == [m for m in expected if m[0] == first], (notion, first)
+    for notion in NOTIONS:
+        a = alpha if notion == "alpha" else None
+        whole = searched(inst, notion, a)
+        parts = [searched(inst, notion, a, first) for first in range(inst.n)]
+        expected = reference_pruned_scan(inst, notion, a)
+        assert whole == expected, notion
+        for first, part in enumerate(parts):
+            assert part == [m for m in expected if m[0] == first], (notion, first)
 
 
 @given(st.one_of(tie_heavy_instances(max_n=6), instances(max_n=6, max_score=30)), alphas)
@@ -185,7 +185,7 @@ def test_every_member_is_certified_once_memo_hit_or_not(inst, alpha):
         a = alpha if notion == "alpha" else None
         for first in (None, *range(inst.n)):
             with patch.object(oracle, "is_stable", wraps=is_stable) as certify:
-                members = _scan(inst, notion, a, first)
+                members = _certified(inst, notion, a, first)
             certified = [call.args[1].partner_of_man for call in certify.call_args_list]
             assert certified == members, (notion, first)
             assert len(set(members)) == len(members)
@@ -201,8 +201,7 @@ def test_forward_checking_matches_the_pairwise_scan_above_the_bound(n):
         inst = smq.random_instance(n, seed=seed, max_score=max_score)
         for notion in NOTIONS:
             a = alpha if notion == "alpha" else None
-            with patch.object(oracle, "is_stable", exact):
-                matches = _scan(inst, notion, a)
+            matches = searched(inst, notion, a)
             assert matches == reference_pruned_scan(inst, notion, a), (seed, notion)
 
 
