@@ -36,8 +36,7 @@ class SemiorderProfile(_Record):
 
     def __init__(self, instance: QuantInstance, alpha: int):
         _check_notion("alpha", alpha)
-        object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "alpha", alpha)
+        _Record.__init__(self, instance, alpha)
 
     @property
     def n(self) -> int:

@@ -17,15 +17,12 @@ class Proposal(_Record):
     proposing, proposer is a man and proposee a woman. outcome is "engaged"
     (proposee was free), "rejected" (she kept her fiance) or "displaced"
     (she switched; displaced is the fiance she released). Built by
-    :func:`step_trace`, so the constructor checks nothing."""
+    :func:`step_trace`, so it checks no rule; displaced defaults to None."""
 
     __slots__ = _fields = ("proposer", "proposee", "outcome", "displaced")
 
     def __init__(self, proposer: int, proposee: int, outcome: str, displaced: int | None = None):
-        object.__setattr__(self, "proposer", proposer)
-        object.__setattr__(self, "proposee", proposee)
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "displaced", displaced)
+        _Record.__init__(self, proposer, proposee, outcome, displaced)
 
 
 def gs(profile: StrictProfile | ScoredProfile, proposing_side: str = "men") -> Marriage:

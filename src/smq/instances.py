@@ -58,9 +58,24 @@ _NAMES = {"men": (man_name, woman_name), "women": (woman_name, man_name)}
 class _Record:
     """Base of the immutable records: a record keeps the fields named in
     `_fields` in slots and compares (same class, equal fields), hashes,
-    prints and pickles by them; setting or deleting one raises AttributeError."""
+    prints and pickles by them; setting or deleting one raises AttributeError.
+
+    Building one binds positional values to the first fields in order, then
+    named values to theirs, and raises TypeError naming the record and its
+    fields unless each field gets one value. A record with a rule checks it
+    and then calls this, or is built through :func:`_trusted`."""
 
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named:  # the named values of the fields after the positional ones, in field order
+            values = (*values, *[named.pop(name) for name in fields[len(values):] if name in named])
+        if named or len(values) != len(fields):
+            raise TypeError(f"{type(self).__qualname__} takes each of its fields "
+                            f"({', '.join(fields)}) once")
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -108,13 +123,8 @@ class ScoredProfile(_Record):
     __slots__ = (*_fields, "_kept")
 
     def __init__(self, men_scores: Matrix, women_scores: Matrix):
-        n, rows = len(men_scores), (*men_scores, *women_scores)
-        if not all(map(isinstance, rows, repeat(_VALUE_ROWS))):
-            raise ValueError("a scored profile needs value rows that are tuples or lists")
-        if len(women_scores) != n or set(map(len, rows)) - {n}:
-            raise NonSquareError(f"a scored profile of size {n} needs {n} rows of {n} entries")
-        object.__setattr__(self, "men_scores", men_scores)
-        object.__setattr__(self, "women_scores", women_scores)
+        _check_rows(men_scores, women_scores)
+        _Record.__init__(self, men_scores, women_scores)
         object.__setattr__(self, "_kept", {})
 
     def _ranking(self, side: str) -> Matrix:
@@ -124,6 +134,15 @@ class ScoredProfile(_Record):
             rows = self.men_scores if side == "men" else self.women_scores
             ranked = self._kept[side] = _rank_rows(rows)
         return ranked
+
+
+def _check_rows(men_scores: Matrix, women_scores: Matrix) -> None:
+    """Raise the errors for rows that :class:`ScoredProfile` states."""
+    n, rows = len(men_scores), (*men_scores, *women_scores)
+    if not all(map(isinstance, rows, repeat(_VALUE_ROWS))):
+        raise ValueError("a scored profile needs value rows that are tuples or lists")
+    if len(women_scores) != n or set(map(len, rows)) - {n}:
+        raise NonSquareError(f"a scored profile of size {n} needs {n} rows of {n} entries")
 
 
 class QuantInstance(ScoredProfile):
@@ -148,8 +167,9 @@ class QuantInstance(ScoredProfile):
         if not len(men_scores) == len(women_scores) == n:
             raise NonSquareError(f"an instance of size {n} needs {n} rows per matrix, "
                                  f"got {len(men_scores)} and {len(women_scores)}")
-        object.__setattr__(self, "n", n)
-        ScoredProfile.__init__(self, men_scores, women_scores)
+        _check_rows(men_scores, women_scores)
+        _Record.__init__(self, n, men_scores, women_scores)
+        object.__setattr__(self, "_kept", {})
 
 
 class StrictProfile(_Record):
@@ -172,8 +192,7 @@ class StrictProfile(_Record):
         for side, lists in (("men", men_prefs), ("women", women_prefs)):
             if len(lists) != n or not all(_permutes(row, n) for row in lists):
                 raise ValueError(f"the {side}'s lists are not {n} permutations of 0..{n - 1}")
-        object.__setattr__(self, "men_prefs", men_prefs)
-        object.__setattr__(self, "women_prefs", women_prefs)
+        _Record.__init__(self, men_prefs, women_prefs)
         object.__setattr__(self, "_source", None)
 
 
@@ -187,7 +206,7 @@ class Marriage(_Record):
 
     def __init__(self, partner_of_man: tuple[int, ...]):
         _check_permutes(len(partner_of_man), partner_of_man)
-        object.__setattr__(self, "partner_of_man", partner_of_man)
+        _Record.__init__(self, partner_of_man)
 
     def inverse(self) -> tuple[int, ...]:
         """partner_of_woman: entry j is the man married to woman j."""
@@ -262,8 +281,7 @@ class WeakProfile(_Record):
             if len(lists) != n or not all(_ranked(row, n) for row in lists):
                 raise ValueError(f"the {side}'s lists are not {n} rankings of 0..{n - 1} "
                                  f"by descending value, ties by ascending index")
-        object.__setattr__(self, "men_values", men_values)
-        object.__setattr__(self, "women_values", women_values)
+        _Record.__init__(self, men_values, women_values)
 
     @property
     def n(self) -> int:

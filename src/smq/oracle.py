@@ -54,17 +54,10 @@ class StableSet(_Record):
     item per member: the match tuples, the undominated flags and the `add`
     and `max` link totals; :meth:`to_json` lists them per member. It keeps
     no record: :meth:`marriages` and :func:`undominated` build Marriage
-    records per call. Built by :func:`enumerate_stable`, so the
-    constructor checks nothing."""
+    records per call. Built by :func:`enumerate_stable`, so it checks no
+    rule."""
 
     __slots__ = _fields = ("notion", "alpha", "matches", "undominated", "link_add", "link_max")
-
-    def __init__(self, notion: str, alpha: int | None, matches: tuple[tuple[int, ...], ...],
-                 undominated: tuple[bool, ...], link_add: tuple[int, ...],
-                 link_max: tuple[int, ...]):
-        values = notion, alpha, matches, undominated, link_add, link_max
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
 
     def marriages(self) -> list[Marriage]:
         return list(map(_marriage, self.matches))

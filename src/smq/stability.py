@@ -24,27 +24,17 @@ NOTIONS = ("classical", "alpha", "link-add", "link-max")
 
 class BlockingPair(_Record):
     """One pair that blocks a marriage, with the values that witness it.
-    Built by :func:`blocking_pairs`, so the constructor checks nothing."""
+    Built by :func:`blocking_pairs`, so it checks no rule."""
 
     __slots__ = _fields = ("man", "woman", "witness")
-
-    def __init__(self, man: int, woman: int, witness: dict[str, int]):
-        object.__setattr__(self, "man", man)
-        object.__setattr__(self, "woman", woman)
-        object.__setattr__(self, "witness", witness)
 
 
 class BlockingReport(_Record):
     """Pairs that violate one stability notion for one marriage; empty pairs
     means the marriage is stable under that notion. Built by
-    :func:`blocking_pairs`, so the constructor checks nothing."""
+    :func:`blocking_pairs`, so it checks no rule."""
 
     __slots__ = _fields = ("notion", "alpha", "pairs")
-
-    def __init__(self, notion: str, alpha: int | None, pairs: tuple[BlockingPair, ...]):
-        object.__setattr__(self, "notion", notion)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "pairs", pairs)
 
     @property
     def stable(self) -> bool:

@@ -1,10 +1,10 @@
 """The package depends on nothing outside the standard library, starts
 without the heavy parts of it, keeps no memo in a module-level cache, reads
 its kept results only through their accessors, builds records without their
-checks in one helper only, states the permutation rule in one predicate,
-certifies the oracle's search in one scope that the search never calls,
-every public name has a reader outside the tests, and every docstring
-cross-reference names what exists."""
+checks in one helper only, sets record fields in one constructor, states
+the permutation rule in one predicate, certifies the oracle's search in one
+scope that the search never calls, every public name has a reader outside
+the tests, and every docstring cross-reference names what exists."""
 
 import ast
 import os
@@ -101,6 +101,32 @@ def test_the_oracle_certifies_in_one_scope_and_its_search_in_none():
     assert certifiers == ["_certified"]
     search = next(scope for scope in body if getattr(scope, "name", None) == "_scan")
     assert names_in(search).isdisjoint({"is_stable", "_marriage", "_table"})
+
+
+# The one constructor that sets a record's fields, and the memo slots it
+# leaves to the records that keep them; every other record calls it.
+FIELD_SETTER = ("_Record", "__init__")
+MEMO_SLOTS = {"_kept", "_source"}
+
+
+def test_records_set_their_fields_in_one_constructor():
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        for scope in ast.parse(path.read_text(encoding="utf-8")).body:
+            methods = scope.body if isinstance(scope, ast.ClassDef) else [scope]
+            for method in methods:
+                names = (getattr(scope, "name", None), getattr(method, "name", None))
+                if (path.name, names) == ("instances.py", FIELD_SETTER):
+                    continue
+                stray += [f"{path.name}:{node.lineno}" for node in ast.walk(method)
+                          if isinstance(node, ast.Call) and ast.unparse(node.func) ==
+                          "object.__setattr__" and not (
+                              len(node.args) == 3 and isinstance(node.args[1], ast.Constant)
+                              and node.args[1].value in MEMO_SLOTS)]
+    assert not stray, stray
+    # the records that check no rule take the shared constructor as it is
+    plain = (smq.BlockingPair, smq.BlockingReport, smq.StableSet)
+    assert [cls.__name__ for cls in plain if "__init__" in vars(cls)] == []
 
 
 def test_the_cli_starts_without_dataclasses_inspect_or_a_process_pool():

@@ -77,6 +77,21 @@ def test_a_record_prints_hashes_and_rebuilds_from_its_fields(record, fields, tex
 
 
 @pytest.mark.parametrize("record, fields, text", RECORDS, ids=IDS)
+def test_a_record_takes_each_field_once(record, fields, text):
+    values = tuple(getattr(record, name) for name in fields)
+    cls = type(record)
+    calls = [((), dict(zip(fields[1:], values[1:]))),  # the first is missing
+             ((*values, values[0]), {}),  # one value too many
+             (values, {"other": 0}),  # a field the record lacks
+             (values, {fields[0]: values[0]})]  # the first field twice
+    if len(fields) > 1:  # the first field twice and the last missing, so the count is right
+        calls.append((values[:-1], {fields[0]: values[0]}))
+    for args, kwargs in calls:
+        with pytest.raises(TypeError, match=cls.__name__):
+            cls(*args, **kwargs)
+
+
+@pytest.mark.parametrize("record, fields, text", RECORDS, ids=IDS)
 def test_a_record_refuses_to_change(record, fields, text):
     for name in (*fields, "other"):
         with pytest.raises(AttributeError):
