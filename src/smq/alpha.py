@@ -53,7 +53,7 @@ class SemiorderProfile(_Record):
 
     def _prefers(self, side: str, person: int, a: int, b: int) -> bool:
         """:meth:`strictly_prefers` unchecked, for callers that pass indices
-        by construction: the weak-stability filter and `smq transform`."""
+        by construction: the weak-stability filter."""
         row = self._row(side, person)
         return row[a] - row[b] >= self.alpha
 

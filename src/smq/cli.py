@@ -14,13 +14,12 @@ import os
 import re
 import sys
 
-from .alpha import alpha_transform, lex_male_alpha_gs
+from .alpha import lex_male_alpha_gs
 from .gale_shapley import gs
 from .instances import (
     _NAMES,
     Marriage,
     QuantInstance,
-    derive_classical,
     man_name,
     parse_instance,
     random_instance,
@@ -28,9 +27,9 @@ from .instances import (
     serialize_marriage,
     woman_name,
 )
-from .link import link_stable_gs, link_transform, marriage_link
+from .link import link_stable_gs, marriage_link
 from .oracle import DEFAULT_SIZE_BOUND, SizeBoundError, enumerate_stable
-from .stability import NOTIONS, BlockingReport, blocking_pairs
+from .stability import NOTIONS, BlockingReport, _table, blocking_pairs
 
 OK, INVALID_INSTANCE, USAGE, UNSTABLE, BAD_MARRIAGE = 0, 1, 2, 3, 4
 
@@ -240,23 +239,17 @@ def _cmd_enumerate(args) -> int:
 def _cmd_transform(args) -> int:
     instance = _load_instance(args.instance)
     alpha = _require_alpha(args, not (args.link_add or args.link_max), "--link-add or --link-max")
-    if alpha is not None:
-        prefers = alpha_transform(instance, alpha)._prefers
-        view = derive_classical(instance)
-        rows = view.men_prefs, view.women_prefs
-        label = lambda other, cand: other(cand)
-        mark = lambda side, person, a, b: ">" if prefers(side, person, a, b) else "⋈"
-    else:
-        view = link_transform(instance, "add" if args.link_add else "max")
-        rows = view.men_values, view.women_values
-        label = lambda other, entry: f"{other(entry[0])}[{entry[1]}]"
-        mark = lambda side, person, a, b: "=" if a[1] == b[1] else ">"
-    for side, side_rows in zip(("men", "women"), rows):
+    linked = alpha is None
+    notion = "alpha" if not linked else "link-add" if args.link_add else "link-max"
+    profile, g = _table(instance, notion, alpha)
+    tie = "=" if linked else "⋈"
+    for side, rows in (("men", profile.men_scores), ("women", profile.women_scores)):
         name, other = _NAMES[side]
-        for person, row in enumerate(side_rows):
-            rest = "".join(f" {mark(side, person, a, b)} {label(other, b)}"
-                           for a, b in zip(row, row[1:]))
-            print(f"{name(person)}: {label(other, row[0])}{rest}")
+        for person, (row, ranked) in enumerate(zip(rows, profile._ranking(side))):
+            labels = [f"{other(c)}[{row[c]}]" if linked else other(c) for c in ranked]
+            rest = "".join(f" {'>' if row[a] - row[b] >= g else tie} {label}"
+                           for a, b, label in zip(ranked, ranked[1:], labels[1:]))
+            print(f"{name(person)}: {labels[0]}{rest}")
     return OK
 
 

@@ -314,7 +314,8 @@ def validate(n, men_scores, women_scores) -> QuantInstance:
         raise ZeroSizeError(f"instance size must be a positive integer, got {n!r}")
     men = _checked_matrix("men", n, men_scores)
     women = _checked_matrix("women", n, women_scores)
-    return QuantInstance(n, men, women)
+    # n rows of n entries each, so the instance skips QuantInstance's check
+    return _trusted(QuantInstance)(n, men, women, {})
 
 
 def _checked_matrix(side: str, n: int, rows) -> Matrix:
@@ -358,11 +359,14 @@ def derive_classical(instance: QuantInstance) -> StrictProfile:
 def _trusted(cls):
     """The builder of `cls` records without the checks of its ``__init__``,
     for values that meet its contract by construction, and the one place
-    that builds a record so. It takes one value per slot of `cls`, in
-    `__slots__` order. The oracle builds one :class:`Marriage` per member,
-    so a one-slot record is built without a loop."""
+    that builds a record so. It takes one value per slot of `cls` and its
+    bases: its `_fields` in order, then its memo slots (`_kept`, `_source`).
+    The oracle builds one :class:`Marriage` per member, so a one-slot record
+    is built without a loop."""
     new = cls.__new__
-    puts = [getattr(cls, name).__set__ for name in cls.__slots__]
+    memos = [name for klass in cls.__mro__ for name in vars(klass).get("__slots__", ())
+             if name not in cls._fields]
+    puts = [getattr(cls, name).__set__ for name in (*cls._fields, *memos)]
     if len(puts) == 1:
         (put,) = puts
 

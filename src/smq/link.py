@@ -74,7 +74,8 @@ def _strengths(instance: QuantInstance, mode: str) -> ScoredProfile:
             # the builtin max() per pair costs more than the comparison itself
             values = [[a if a > b else b for a, b in zip(men_row, women_column)]
                       for men_row, women_column in rows]
-        kept[mode] = ScoredProfile(values, list(zip(*values)))
+        # n list rows and their n tuple columns, so the table skips ScoredProfile's check
+        kept[mode] = _trusted(ScoredProfile)(values, list(zip(*values)), {})
     return kept[mode]
 
 

@@ -353,6 +353,21 @@ def reference_link_stable_gs(instance, mode):
     return smq.gs(reference_linearize_weak(reference_link_transform(instance, mode)), "men")
 
 
+def reference_link_greedy(instance, mode):
+    """The link solver as a greedy pairing: every pair by descending strength
+    (its two scores' sum for 'add', their maximum for 'max'), equal strengths
+    by ascending man and then ascending woman, kept when both are free."""
+    n, U, W = instance.n, instance.men_scores, instance.women_scores
+    strength = (lambda a, b: a + b) if mode == "add" else max
+    pairs = sorted((-strength(U[m][w], W[w][m]), m, w) for m in range(n) for w in range(n))
+    partner, taken = [None] * n, set()
+    for _, m, w in pairs:
+        if partner[m] is None and w not in taken:
+            partner[m] = w
+            taken.add(w)
+    return Marriage(tuple(partner))
+
+
 def reference_validate(n, men_scores, women_scores):
     """`smq.validate` for a positive `n`, with every row checked cell by cell."""
     return QuantInstance(n, _checked_matrix("men", n, men_scores),

@@ -3,7 +3,8 @@ without the heavy parts of it, keeps no memo in a module-level cache, reads
 its kept results only through their accessors, builds records without their
 checks in one helper only, sets record fields in one constructor, states
 the permutation rule in one predicate, certifies the oracle's search in one
-scope that the search never calls, every public name has a reader outside
+scope that the search never calls, prints `smq transform` from the value
+table that the audits read, every public name has a reader outside
 the tests, and every docstring cross-reference names what exists."""
 
 import ast
@@ -101,6 +102,18 @@ def test_the_oracle_certifies_in_one_scope_and_its_search_in_none():
     assert certifiers == ["_certified"]
     search = next(scope for scope in body if getattr(scope, "name", None) == "_scan")
     assert names_in(search).isdisjoint({"is_stable", "_marriage", "_table"})
+
+
+# The views built only to print them; `smq transform` prints the notion's
+# value table instead, as the audits and the oracle read it.
+PRINT_ONLY_VIEWS = {"alpha_transform", "derive_classical", "link_transform"}
+
+
+def test_the_cli_prints_transforms_from_the_value_table():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    named = {getattr(node, attr) for node in ast.walk(tree)
+             for attr in ("id", "attr", "name") if isinstance(getattr(node, attr, None), str)}
+    assert named.isdisjoint(PRINT_ONLY_VIEWS), sorted(named & PRINT_ONLY_VIEWS)
 
 
 # The one constructor that sets a record's fields, and the memo slots it

@@ -9,6 +9,7 @@ import smq
 from conftest import P_A, P_C, alphas, instances, instances_with_marriage, tie_heavy_instances
 from references import (
     reference_blocking_pairs,
+    reference_link_greedy,
     reference_link_stable_gs,
     reference_link_transform,
     reference_link_value,
@@ -161,6 +162,21 @@ def test_transform_and_strength_match_per_pair_reference(case):
 def test_solver_matches_the_linearized_reference_under_ties(inst):
     for mode in ("add", "max"):
         assert smq.link_stable_gs(inst, mode) == reference_link_stable_gs(inst, mode)
+
+
+@given(st.one_of(tie_heavy_instances(), instances(max_n=8)))
+def test_solver_pairs_greedily_by_strength(inst):
+    # the strongest pair has no rival that either member prefers, so deferred
+    # acceptance on the strengths must take it, and so on down the table
+    for mode in ("add", "max"):
+        assert smq.link_stable_gs(inst, mode) == reference_link_greedy(inst, mode), mode
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_solver_pairs_greedily_at_the_bench_size(seed):
+    inst = smq.random_instance(300, seed, 10**9)
+    for mode in ("add", "max"):
+        assert smq.link_stable_gs(inst, mode) == reference_link_greedy(inst, mode), mode
 
 
 @given(st.one_of(tie_heavy_instances(), instances()))

@@ -128,6 +128,14 @@ def test_the_columns_answer_as_eager_records_do(inst, alpha):
         assert smq.undominated(inst, clone) == flagged
 
 
+@given(tie_heavy_instances(), st.integers(1, 3))
+@settings(max_examples=100)
+def test_masks_match_their_definition(inst, alpha):
+    for notion in NOTIONS:
+        a = alpha if notion == "alpha" else None
+        assert _masks(*_table(inst, notion, a)) == reference_masks(inst, notion, a), notion
+
+
 def searched(inst, notion, alpha, first=None):
     """The members `_scan` finds in the notion's table, uncertified, each
     asserted stable before a caller runs the reference: only the pair masks
@@ -203,14 +211,6 @@ def test_forward_checking_matches_the_pairwise_scan_above_the_bound(n):
             a = alpha if notion == "alpha" else None
             matches = searched(inst, notion, a)
             assert matches == reference_pruned_scan(inst, notion, a), (seed, notion)
-
-
-@given(tie_heavy_instances(), st.integers(1, 3))
-@settings(max_examples=100)
-def test_masks_match_their_definition(inst, alpha):
-    for notion in NOTIONS:
-        a = alpha if notion == "alpha" else None
-        assert _masks(*_table(inst, notion, a)) == reference_masks(inst, notion, a), notion
 
 
 def test_dense_stable_set_is_annotated_fast():

@@ -132,6 +132,14 @@ def test_a_records_slots_are_its_fields_and_the_named_memos():
         assert set(cls._fields) <= slots and slots - set(cls._fields) <= {"_kept", "_source"}, cls
 
 
+def test_a_trusted_builder_binds_the_fields_then_the_memos():
+    # a subclass record's slots include its bases': QuantInstance's fields
+    # are its own n and ScoredProfile's rows, and its memo is ScoredProfile's
+    inst = smq.instances._trusted(smq.QuantInstance)(2, P_B.men_scores, P_B.women_scores, {})
+    assert inst == smq.QuantInstance(2, P_B.men_scores, P_B.women_scores)
+    assert repr(inst) == repr(P_B) and inst._kept == {}
+
+
 def test_kept_results_stay_out_of_the_record():
     inst = smq.QuantInstance(P_B.n, P_B.men_scores, P_B.women_scores)
     empty = smq.QuantInstance(P_B.n, P_B.men_scores, P_B.women_scores)._kept
